@@ -123,17 +123,24 @@ def _greatest_of(subset, up, down):
 
 
 def is_lattice(n, up, down):
-    """True iff every element pair has a unique join and a unique meet."""
-    upr = [up[i] | (1 << i) for i in range(n)]
-    downr = [down[i] | (1 << i) for i in range(n)]
+    """True iff every element pair has a unique join and a unique meet.
+
+    A finite poset with a single minimal element (its bottom) is a lattice
+    iff every pair has a join (Davey & Priestley): the meet of a pair is then
+    the join of its nonempty set of lower bounds.  Comparable pairs always
+    have a join, so only incomparable pairs are scanned, and no meet is.
+    """
+    if sum(1 for d in down if not d) > 1:
+        return False
+    full = (1 << n) - 1
     for i in range(n):
-        for j in range(i + 1, n):
-            m = upr[i] & upr[j]
+        inc = (full ^ ((2 << i) - 1)) & ~(up[i] | down[i])  # j > i only
+        while inc:
+            low = inc & -inc
+            m = up[i] & up[low.bit_length() - 1]
             if not m or _least_of(m, up, down) < 0:
                 return False
-            m = downr[i] & downr[j]
-            if not m or _greatest_of(m, up, down) < 0:
-                return False
+            inc ^= low
     return True
 
 
@@ -165,30 +172,42 @@ def reducibility(n, up, down):
     return jr, mr
 
 
-def _cover_degrees(n, up, down, mask):
+def _cover_masks(n, up, down):
+    """Per-element (lower, upper) cover masks of the whole poset."""
     lower = [0] * n
     upper = [0] * n
-    for x, y in covers_within(n, up, down, mask):
-        upper[x] += 1
-        lower[y] += 1
+    for x, y in covers_within(n, up, down, (1 << n) - 1):
+        upper[x] |= 1 << y
+        lower[y] |= 1 << x
     return lower, upper
+
+
+def _at_most_one(mask):
+    return not mask & (mask - 1)
 
 
 def basic_block_universal(n, up, down):
     """One element, or no doubly irreducible element, or every doubly
-    irreducible element's removal drops the nullity by exactly one."""
+    irreducible element's removal drops the nullity by exactly one.
+
+    Each removal is decided locally.  Removing z deletes its one or two
+    cover edges and can create only the cover (a, b), where a is z's lower
+    and b its upper cover; the component count stays unless z is isolated.
+    So the nullity drops by exactly one iff z has both covers and something
+    other than z lies strictly between a and b.
+    """
     if n == 1:
         return True
-    full = (1 << n) - 1
-    lower, upper = _cover_degrees(n, up, down, full)
-    irr = [z for z in range(n) if lower[z] <= 1 and upper[z] <= 1]
-    if not irr:
-        return True
-    e0, c0 = induced_nullity_parts(n, up, down, full)
-    eta0 = e0 - n + c0
-    for z in irr:
-        e, c = induced_nullity_parts(n, up, down, full ^ (1 << z))
-        if e - (n - 1) + c != eta0 - 1:
+    lower, upper = _cover_masks(n, up, down)
+    for z in range(n):
+        lo, hi = lower[z], upper[z]
+        if not (_at_most_one(lo) and _at_most_one(hi)):
+            continue
+        if not lo or not hi:
+            return False
+        a = lo.bit_length() - 1
+        b = hi.bit_length() - 1
+        if up[a] & down[b] == 1 << z:
             return False
     return True
 
@@ -197,23 +216,39 @@ def dismantling_order(n, up, down):
     """Greedy removal order of doubly irreducible elements down to a
     singleton, lowest index first, or None when the process gets stuck.
 
-    Cover counts are recomputed inside the shrinking induced subposet.
+    Cover masks are computed once and updated per removal: removing z from
+    between its covers a and b deletes (a, z) and (z, b) and adds (a, b) when
+    nothing else remaining lies between them.  No element's cover count
+    grows, so a doubly irreducible element stays one until it is removed.
     """
     mask = (1 << n) - 1
+    lower, upper = _cover_masks(n, up, down)
+    irr = 0
+    for v in range(n):
+        if _at_most_one(lower[v]) and _at_most_one(upper[v]):
+            irr |= 1 << v
     order = []
-    remaining = n
-    while remaining > 1:
-        lower, upper = _cover_degrees(n, up, down, mask)
-        z = -1
-        for v in _bits(mask):
-            if lower[v] <= 1 and upper[v] <= 1:
-                z = v
-                break
-        if z < 0:
+    for _ in range(n - 1):
+        if not irr:
             return None
+        bit = irr & -irr
+        z = bit.bit_length() - 1
         order.append(z)
-        mask ^= 1 << z
-        remaining -= 1
+        mask ^= bit
+        irr ^= bit
+        lo, hi = lower[z], upper[z]
+        a = lo.bit_length() - 1
+        b = hi.bit_length() - 1
+        if lo:
+            upper[a] ^= bit
+        if hi:
+            lower[b] ^= bit
+        if lo and hi and not up[a] & down[b] & mask:
+            upper[a] |= hi
+            lower[b] |= lo
+        for v in (a, b):
+            if v >= 0 and _at_most_one(lower[v]) and _at_most_one(upper[v]):
+                irr |= 1 << v
     return order
 
 

@@ -19,38 +19,45 @@ with f(0,0) = 1 and f(1,l) = 0; negative l contributes 0.
 isolated-vertex sets and exists purely to cross-check the other two.
 
 Everything is an exact Python int; tables are filled iteratively row by row
-(no recursion) and grow on demand.  Completed rows are never mutated.
+(no recursion) and grow on demand.  Completed rows are never mutated.  Rows
+are filled under one lock, so concurrent callers never compute a row twice
+or read a half-built table; reading rows that are already there takes no lock.
 """
 
 from __future__ import annotations
 
 import json
+import threading
 from dataclasses import dataclass
 from math import comb
 
 _d_rows = [[1], [0]]
 _f_rows = [[1], [0]]
+_fill_lock = threading.Lock()
 
 
 def _fill_d(n):
-    while len(_d_rows) <= n:
-        m = len(_d_rows)
-        big_n = comb(m, 2)
-        prev1 = _d_rows[m - 1]
-        prev2 = _d_rows[m - 2]
-        row = [0] * (big_n + 1)
-        for q in range(1, big_n + 1):
-            acc = (big_n - q + 1) * row[q - 1]
-            if q - 1 < len(prev1):
-                acc += m * (m - 1) * prev1[q - 1]
-            if q - 1 < len(prev2):
-                acc += big_n * prev2[q - 1]
-            if acc % q:
-                raise ArithmeticError(
-                    f"internal error: d({m},{q}) recurrence value {acc} is "
-                    f"not divisible by {q}")
-            row[q] = acc // q
-        _d_rows.append(row)
+    if len(_d_rows) > n:
+        return
+    with _fill_lock:
+        while len(_d_rows) <= n:
+            m = len(_d_rows)
+            big_n = comb(m, 2)
+            prev1 = _d_rows[m - 1]
+            prev2 = _d_rows[m - 2]
+            row = [0] * (big_n + 1)
+            for q in range(1, big_n + 1):
+                acc = (big_n - q + 1) * row[q - 1]
+                if q - 1 < len(prev1):
+                    acc += m * (m - 1) * prev1[q - 1]
+                if q - 1 < len(prev2):
+                    acc += big_n * prev2[q - 1]
+                if acc % q:
+                    raise ArithmeticError(
+                        f"internal error: d({m},{q}) recurrence value {acc} is "
+                        f"not divisible by {q}")
+                row[q] = acc // q
+            _d_rows.append(row)
 
 
 def count_d(n, q):
@@ -71,19 +78,22 @@ def count_d_oracle(n, q):
 
 
 def _fill_f(n):
-    while len(_f_rows) <= n:
-        m = len(_f_rows) - 1  # recurrence steps from row m to row m+1
-        big_n = comb(m + 1, 2)
-        row = [0] * (big_n + 1)
-        for l in range(big_n + 1):
-            acc = 0
-            for k in range(1, min(m, l) + 1):
-                for j in range(k + 1):
-                    src = _f_rows[m - j]
-                    if l - k < len(src):
-                        acc += comb(m, j) * comb(m - j, k - j) * src[l - k]
-            row[l] = acc
-        _f_rows.append(row)
+    if len(_f_rows) > n:
+        return
+    with _fill_lock:
+        while len(_f_rows) <= n:
+            m = len(_f_rows) - 1  # recurrence steps from row m to row m+1
+            big_n = comb(m + 1, 2)
+            row = [0] * (big_n + 1)
+            for l in range(big_n + 1):
+                acc = 0
+                for k in range(1, min(m, l) + 1):
+                    for j in range(k + 1):
+                        src = _f_rows[m - j]
+                        if l - k < len(src):
+                            acc += comb(m, j) * comb(m - j, k - j) * src[l - k]
+                row[l] = acc
+            _f_rows.append(row)
 
 
 def count_f(n, l):

@@ -165,8 +165,14 @@ def build_fbb(n, ranks):
 def is_basic_block_universal(p):
     """Basic-block predicate, universal reading: one element, or no doubly
     irreducible element, or removal of each doubly irreducible element drops
-    the nullity by exactly one (covers recomputed per removal)."""
-    return _kernel.basic_block_universal(len(p), p._up, p._down)
+    the nullity by exactly one.
+
+    Each removal is decided from the element's own covers, not by
+    recounting the nullity; the result is cached on the poset."""
+    if "basic_block" not in p._cache:
+        p._cache["basic_block"] = _kernel.basic_block_universal(
+            len(p), p._up, p._down)
+    return p._cache["basic_block"]
 
 
 def is_fundamental_basic_block(f):

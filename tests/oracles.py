@@ -70,6 +70,39 @@ def doubly_irreducible(names, covers):
     return {x for x in names if uppers[x] <= 1 and lowers[x] <= 1}
 
 
+def basic_block_by_removal(names, covers):
+    """Basic-block predicate by literal removal: one element, or no doubly
+    irreducible element, or removing each doubly irreducible element and
+    recounting the nullity of what is left gives one less."""
+    names = list(names)
+    irr = doubly_irreducible(names, covers)
+    if len(names) == 1 or not irr:
+        return True
+    eta = nullity(names, covers)
+    for z in irr:
+        keep = [x for x in names if x != z]
+        if nullity(keep, induced_covers(names, covers, keep)) != eta - 1:
+            return False
+    return True
+
+
+def dismantling_order_by_recount(names, covers):
+    """Greedy removal of doubly irreducible elements down to a singleton,
+    earliest in ``names`` first, with the induced covers recomputed from
+    scratch after every removal; None when no element can be removed."""
+    names = list(names)
+    left = list(names)
+    order = []
+    while len(left) > 1:
+        irr = doubly_irreducible(left, induced_covers(names, covers, left))
+        z = next((x for x in left if x in irr), None)
+        if z is None:
+            return None
+        order.append(z)
+        left.remove(z)
+    return tuple(order)
+
+
 def dict_pairs(n):
     """All pairs (i, j), i < j, in dictionary order via Python's tuple sort."""
     return sorted((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))

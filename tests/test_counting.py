@@ -2,10 +2,13 @@
 subset-scan oracle, band behavior, triangle emission, and b-file diffs."""
 
 import json
+import sys
+import threading
 from math import comb
 
 import pytest
 
+from fbblat import counting
 from fbblat.counting import (CountTable, count_d, count_d_oracle, count_f,
                              diff_bfile, emit_triangle)
 
@@ -216,3 +219,37 @@ def test_diff_bfile_overlong_file_warns(tmp_path):
     diff = diff_bfile(path, "d", max_n=3)
     assert any("extends beyond" in w for w in diff.warnings)
     assert diff.compared == len(_oracle_linear(3))
+
+
+def test_concurrent_fills_agree_with_oracle(monkeypatch):
+    # several threads race to fill empty tables; with a tiny switch interval
+    # an unguarded fill computes rows twice and appends them out of order
+    n = 24
+    expected = [count_d_oracle(n, q) for q in range(comb(n, 2) + 1)]
+    monkeypatch.setattr(counting, "_d_rows", [[1], [0]])
+    monkeypatch.setattr(counting, "_f_rows", [[1], [0]])
+    results = [None] * 8
+    start = threading.Barrier(len(results))
+
+    def work(slot):
+        start.wait()
+        try:
+            results[slot] = ([count_d(n, q) for q in range(len(expected))],
+                             [count_f(n, q) for q in range(len(expected))])
+        except ArithmeticError as exc:
+            results[slot] = exc
+
+    threads = [threading.Thread(target=work, args=(slot,))
+               for slot in range(len(results))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for slot, got in enumerate(results):
+        assert got == (expected, expected), f"thread {slot}: {got!r:.200}"

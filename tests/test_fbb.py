@@ -6,6 +6,7 @@ from math import comb
 
 import pytest
 
+from fbblat import _kernel
 from fbblat.errors import (DisjointnessError, ExtractionUnsupportedError,
                            InvalidAdjunctPairError, UncoveredVertexError)
 from fbblat.fbb import (AdjunctTerm, CompleteFbb, Fbb,
@@ -225,19 +226,24 @@ def test_basic_block_matches_naive_removal_loop():
              build_fbb(5, {1, 5, 8, 10}).poset,
              Poset.chain("abcd")]
     for p in cases:
-        irr = oracles.doubly_irreducible(p.names, p.covers)
-        if len(p) == 1 or not irr:
-            expected = True
-        else:
-            expected = all(
-                oracles.nullity(*_removed(p, z)) == oracles.nullity(p.names, p.covers) - 1
-                for z in irr)
+        expected = oracles.basic_block_by_removal(p.names, p.covers)
         assert is_basic_block_universal(p) == expected, p
 
 
-def _removed(p, z):
-    keep = [x for x in p.names if x != z]
-    return keep, oracles.induced_covers(p.names, p.covers, keep)
+def test_basic_block_result_is_cached(monkeypatch):
+    calls = []
+    real = _kernel.basic_block_universal
+
+    def counted(n, up, down):
+        calls.append(n)
+        return real(n, up, down)
+
+    monkeypatch.setattr(_kernel, "basic_block_universal", counted)
+    block = build_fbb(4, {1, 3, 4, 5})
+    assert is_basic_block_universal(block.poset)
+    assert is_basic_block_universal(block.poset)
+    assert is_fundamental_basic_block(block)
+    assert len(calls) == 1
 
 
 # -- fundamental blocks and extraction ---------------------------------------------------

@@ -1,0 +1,76 @@
+"""The pure kernels' lattice, basic-block and dismantling predicates against
+the slow references in ``oracles``.
+
+These run whether or not the compiled extension is built: every block on at
+most four reducibles, each block's single-element removals, and random
+posets of up to nine elements, non-lattices included.
+"""
+
+from itertools import combinations
+from math import comb
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fbblat._kernel import pure
+from fbblat.fbb import build_fbb
+from fbblat.labeling import unrank
+
+import oracles
+
+
+def _assert_matches_oracles(label, names, covers):
+    names = list(names)
+    index = {x: i for i, x in enumerate(names)}
+    n = len(names)
+    up, down = pure.closure(n, [(index[a], index[b]) for a, b in covers])
+    where = f"{label}: {n} elements, covers {sorted(covers)}"
+    assert pure.is_lattice(n, up, down) == oracles.is_lattice(names, covers), where
+    assert (pure.basic_block_universal(n, up, down)
+            == oracles.basic_block_by_removal(names, covers)), where
+    order = pure.dismantling_order(n, up, down)
+    if order is not None:
+        order = tuple(names[i] for i in order)
+    assert order == oracles.dismantling_order_by_recount(names, covers), where
+
+
+def _blocks(max_n):
+    for n in range(2, max_n + 1):
+        labels = range(1, comb(n, 2) + 1)
+        for size in range(1, len(labels) + 1):
+            for ranks in combinations(labels, size):
+                if len({v for k in ranks for v in unrank(n, k)}) == n:
+                    yield n, ranks, build_fbb(n, ranks).poset
+
+
+def test_every_small_block_and_its_removals():
+    for n, ranks, p in _blocks(4):
+        _assert_matches_oracles(f"block n={n} Q={list(ranks)}", p.names, p.covers)
+        for z in p.names:
+            keep = [x for x in p.names if x != z]
+            _assert_matches_oracles(
+                f"block n={n} Q={list(ranks)} without {z}",
+                keep, oracles.induced_covers(p.names, p.covers, keep))
+
+
+@st.composite
+def _random_posets(draw):
+    """Cover list of a random DAG's order on 1..9 elements, element indices
+    shuffled so that index order need not be a linear extension; half of
+    them get a bottom and a top, which makes lattices common."""
+    n = draw(st.integers(1, 9))
+    perm = draw(st.permutations(range(n)))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    if draw(st.booleans()):
+        chosen |= {(0, j) for j in range(1, n)} | {(i, n - 1) for i in range(n - 1)}
+    names = [f"v{k}" for k in range(n)]
+    edges = [(names[perm[i]], names[perm[j]]) for i, j in chosen]
+    return names, oracles.covers_of_order(names, oracles.order_pairs(names, edges))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_random_posets())
+def test_random_posets(poset):
+    names, covers = poset
+    _assert_matches_oracles("random poset", names, covers)
