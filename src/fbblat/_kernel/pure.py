@@ -8,8 +8,6 @@ picks an implementation per call in ``fbblat._kernel``.
 
 from __future__ import annotations
 
-import itertools
-
 IMPLEMENTATION = "pure"
 
 
@@ -252,27 +250,53 @@ def dismantling_order(n, up, down):
     return order
 
 
+def _subsets_with_covers(labels, pair_cover):
+    """(mask, vertex cover) of every subset of ``labels``.
+
+    Subsets holding the lowest label come first, each part ordered the same
+    way on the remaining labels, so subsets of one size are in itertools
+    combinations order.
+    """
+    subsets = [(0, 0)]
+    for k in reversed(labels):
+        bit, cover = 1 << k, pair_cover[k]
+        subsets = [(m | bit, c | cover) for m, c in subsets] + subsets
+    return subsets
+
+
 def unisolated_masks(nv, q):
     """Bitmasks over pair labels of the q-edge subgraphs of K_nv with no
-    isolated vertex, in lexicographic order of their label sets."""
+    isolated vertex, in lexicographic order of their label sets.
+
+    A meet-in-the-middle join over a low and a high half of the labels.
+    Label sets of one size sort by the lowest label of their symmetric
+    difference, the set holding it first, so the output is each low-half
+    subset in that order, joined with the high-half subsets of the
+    complementary size that cover every vertex the low subset leaves
+    uncovered, those in combinations order.  High-half subsets are grouped
+    by (size, vertices required) on first use, and each group is appended
+    at C speed.
+    """
     npairs = nv * (nv - 1) // 2
     if q < 0 or q > npairs:
         return []
-    vmask = [0] * nv
-    k = 0
-    for i in range(nv - 1):
-        for j in range(i + 1, nv):
-            vmask[i] |= 1 << k
-            vmask[j] |= 1 << k
-            k += 1
+    pair_cover = [(1 << i) | (1 << j)
+                  for i in range(nv - 1) for j in range(i + 1, nv)]
+    full = (1 << nv) - 1
+    half = (npairs + 1) // 2
+    high_by_size = [[] for _ in range(npairs - half + 1)]
+    for m, c in _subsets_with_covers(range(half, npairs), pair_cover):
+        high_by_size[m.bit_count()].append((m, c))
+    groups = {}
     out = []
-    for combo in itertools.combinations(range(npairs), q):
-        m = 0
-        for c in combo:
-            m |= 1 << c
-        for v in range(nv):
-            if not vmask[v] & m:
-                break
-        else:
-            out.append(m)
+    for low, cover in _subsets_with_covers(range(half), pair_cover):
+        size = q - low.bit_count()
+        if not 0 <= size < len(high_by_size):
+            continue
+        need = full & ~cover
+        group = groups.get((size, need))
+        if group is None:
+            group = groups[size, need] = [
+                m for m, c in high_by_size[size] if c & need == need]
+        out.extend(map(low.__or__, group))
     return out

@@ -154,16 +154,15 @@ def emit_triangle(kind, max_n, fmt="csv"):
     ``csv`` emits one `n,q,value` line per cell under a header; ``json``
     emits an array of row arrays (values only).
     """
-    table = CountTable.build(kind, max_n)
+    rows = CountTable.build(kind, max_n).rows()
     if fmt == "csv":
         lines = ["n,q,value"]
-        for n in range(max_n + 1):
+        for n, row in enumerate(rows):
             start = _row_start(n)
-            lines += [f"{n},{start + off},{v}"
-                      for off, v in enumerate(table.rows()[n])]
+            lines += [f"{n},{start + off},{v}" for off, v in enumerate(row)]
         return "\n".join(lines) + "\n"
     if fmt == "json":
-        return json.dumps(table.rows()) + "\n"
+        return json.dumps(rows) + "\n"
     raise ValueError(f"unsupported format {fmt!r}")
 
 

@@ -8,6 +8,8 @@ side are all literally the same machine word.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Sequence
+from functools import partial
 from math import comb
 
 from . import _kernel
@@ -96,6 +98,32 @@ class DirectedLabeledGraph(LabeledGraph):
         return self.edges
 
 
+class GraphSequence(Sequence):
+    """Read-only sequence of labeled graphs on n vertices, backed by a list
+    of edge masks.  Each element is built by ``LabeledGraph.from_mask`` when
+    it is indexed or iterated over, so only the masks are held."""
+
+    __slots__ = ("n", "_masks")
+
+    def __init__(self, n, masks):
+        self.n = n
+        self._masks = masks
+
+    def __len__(self):
+        return len(self._masks)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return GraphSequence(self.n, self._masks[index])
+        return LabeledGraph.from_mask(self.n, self._masks[index])
+
+    def __iter__(self):
+        return map(partial(LabeledGraph.from_mask, self.n), self._masks)
+
+    def __repr__(self):
+        return f"{type(self).__name__}(n={self.n}, len={len(self)})"
+
+
 def orient(g):
     """The unique low-to-high orientation of a labeled graph."""
     return DirectedLabeledGraph.from_mask(g.n, g.mask)
@@ -129,10 +157,11 @@ def check_bounds(n, q):
 
 def enumerate_d(n, q, cap=DEFAULT_ENUM_CAP):
     """All labeled graphs on n unisolated vertices with q edges, in
-    lexicographic order of their edge-label sets.
+    lexicographic order of their edge-label sets, as a read-only
+    ``GraphSequence`` that builds each graph from its edge mask on access.
 
-    Refuses n above ``cap`` (default 7, a 2^21-subset sweep); pass a larger
-    cap explicitly to override.  Exact counts at any size come from the
+    Refuses n above ``cap`` (default 7, where the 22 cells hold 1,887,284
+    graphs); pass a larger cap explicitly to override.  Exact counts at any size come from the
     counting module instead.
     """
     if n < 2:
@@ -145,4 +174,4 @@ def enumerate_d(n, q, cap=DEFAULT_ENUM_CAP):
         warnings.warn(
             f"enumerating subsets of the {comb(n, 2)} edges of K_{n}; "
             "this grows as 2^C(n,2) and may take very long", stacklevel=2)
-    return [LabeledGraph.from_mask(n, m) for m in _kernel.unisolated_masks(n, q)]
+    return GraphSequence(n, _kernel.unisolated_masks(n, q))

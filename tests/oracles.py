@@ -116,3 +116,29 @@ def unisolated_edge_sets(n, q):
         if len(touched) == n:
             out.append(frozenset(combo))
     return out
+
+
+def unisolated_masks_by_scan(nv, q):
+    """Pair-label bitmasks of the q-edge subgraphs of K_nv with no isolated
+    vertex, by scanning every q-subset of labels in itertools order."""
+    npairs = nv * (nv - 1) // 2
+    if q < 0 or q > npairs:
+        return []
+    vmask = [0] * nv
+    k = 0
+    for i in range(nv - 1):
+        for j in range(i + 1, nv):
+            vmask[i] |= 1 << k
+            vmask[j] |= 1 << k
+            k += 1
+    out = []
+    for combo in itertools.combinations(range(npairs), q):
+        m = 0
+        for c in combo:
+            m |= 1 << c
+        for v in range(nv):
+            if not vmask[v] & m:
+                break
+        else:
+            out.append(m)
+    return out

@@ -86,6 +86,34 @@ def test_enumerate_d_is_in_lexicographic_rank_order():
             assert ranks == sorted(ranks)
 
 
+def test_enumerate_d_is_a_lazy_sequence_of_graphs():
+    from collections.abc import Sequence
+
+    from fbblat import _kernel
+
+    masks = _kernel.unisolated_masks(5, 6)
+    seq = enumerate_d(5, 6)
+    assert isinstance(seq, Sequence)
+    assert len(seq) == len(masks) > 3
+    for g, mask in zip(seq, masks, strict=True):
+        assert type(g) is LabeledGraph and g.n == 5
+        assert g == LabeledGraph.from_mask(5, mask)
+    assert seq[0] == LabeledGraph.from_mask(5, masks[0])
+    assert seq[-1] == seq[len(seq) - 1] == LabeledGraph.from_mask(5, masks[-1])
+    assert seq[-2] == LabeledGraph.from_mask(5, masks[-2])
+    for index in (len(seq), -len(seq) - 1):
+        with pytest.raises(IndexError):
+            seq[index]
+    assert list(seq[1:4]) == [LabeledGraph.from_mask(5, m) for m in masks[1:4]]
+    assert list(seq[::-2]) == [LabeledGraph.from_mask(5, m) for m in masks[::-2]]
+    assert list(seq) == list(seq)
+    assert list(reversed(seq)) == list(seq)[::-1]
+    assert seq[2] in seq
+    assert LabeledGraph(5, [(1, 2)]) not in seq
+    assert LabeledGraph.from_mask(6, masks[0]) not in seq
+    assert orient(seq[0]) not in seq
+
+
 def test_enumerate_d_cap():
     with pytest.raises(EnumerationCapError):
         enumerate_d(8, 4)

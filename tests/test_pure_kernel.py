@@ -1,9 +1,11 @@
-"""The pure kernels' lattice, basic-block and dismantling predicates against
-the slow references in ``oracles``.
+"""The pure kernels' lattice, basic-block and dismantling predicates and
+their unisolated-subgraph enumeration against the slow references in
+``oracles``.
 
 These run whether or not the compiled extension is built: every block on at
-most four reducibles, each block's single-element removals, and random
-posets of up to nine elements, non-lattices included.
+most four reducibles, each block's single-element removals, random posets of
+up to nine elements, non-lattices included, and every edge count of K_1..K_7
+plus a few of K_8.
 """
 
 from itertools import combinations
@@ -74,3 +76,16 @@ def _random_posets(draw):
 def test_random_posets(poset):
     names, covers = poset
     _assert_matches_oracles("random poset", names, covers)
+
+
+# At nv = 8 the middle row q = 14 holds 39,186,780 masks, over a gigabyte
+# per list, so q = 6 and 22 stand in for it.
+_UNISOLATED_CELLS = [(nv, q) for nv in range(1, 8)
+                     for q in range(-1, comb(nv, 2) + 2)]
+_UNISOLATED_CELLS += [(8, q) for q in (3, 4, 6, 22, 25)]
+
+
+def test_unisolated_masks_match_subset_scan():
+    for nv, q in _UNISOLATED_CELLS:
+        assert (pure.unisolated_masks(nv, q)
+                == oracles.unisolated_masks_by_scan(nv, q)), f"nv={nv} q={q}"
