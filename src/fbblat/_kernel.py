@@ -1,14 +1,20 @@
-"""Bitset poset kernels, pure-Python reference implementation.
+"""Bitset poset kernels.
 
 Elements are indices 0..n-1 and element subsets are Python ints used as
-bitmasks, so the same code handles posets of any size.  ``fastcore`` is the
-compiled twin, limited to single-word (<= 64 element) posets; the package
-picks an implementation per call in ``fbblat._kernel``.
+bitmasks, so the same code handles posets of any size.
 """
 
 from __future__ import annotations
 
-IMPLEMENTATION = "pure"
+
+def compiled_available():
+    """Whether a compiled kernel is available; the kernels are pure Python."""
+    return False
+
+
+def active_implementation(nbits=0):
+    """Name of the implementation a call with ``nbits`` working bits uses."""
+    return "pure"
 
 
 def _bits(mask):

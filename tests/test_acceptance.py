@@ -4,10 +4,8 @@ Each test prints a `ACCEPTANCE <k> ...: PASS (<elapsed>)` line; run
 
     pytest tests/test_acceptance.py -v -s
 
-for the line-per-criterion view.  Wall-clock budgets are enforced when the
-compiled kernel is active (the default built package); under
-FBBLAT_KERNEL=pure the exactness checks still run and the elapsed time is
-reported but not asserted.
+for the line-per-criterion view.  Criteria with a wall-clock budget assert
+it on every run.
 """
 
 import json
@@ -18,7 +16,6 @@ from math import comb
 
 import pytest
 
-import fbblat
 from fbblat import cli
 from fbblat.correspondence import phi, phi_inverse
 from fbblat.counting import count_d, count_d_oracle, count_f
@@ -32,8 +29,6 @@ from fbblat.poset import (Poset, classify, is_dismantlable, is_lattice,
 
 from conftest import GOLDEN_DIR
 
-BUDGETS_ENFORCED = fbblat.active_implementation(1) == "compiled"
-
 
 @contextmanager
 def criterion(number, name, budget=None):
@@ -41,9 +36,8 @@ def criterion(number, name, budget=None):
     yield
     elapsed = time.perf_counter() - start
     extra = f", budget {budget:g}s" if budget else ""
-    mode = "" if BUDGETS_ENFORCED else " [pure kernel, budget not enforced]"
-    print(f"ACCEPTANCE {number:>2} {name}: PASS ({elapsed:.2f}s{extra}){mode}")
-    if budget is not None and BUDGETS_ENFORCED:
+    print(f"ACCEPTANCE {number:>2} {name}: PASS ({elapsed:.2f}s{extra})")
+    if budget is not None:
         assert elapsed < budget, (
             f"criterion {number} exceeded its {budget}s budget: {elapsed:.2f}s")
 

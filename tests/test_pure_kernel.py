@@ -1,11 +1,10 @@
-"""The pure kernels' lattice, basic-block and dismantling predicates and
-their unisolated-subgraph enumeration against the slow references in
-``oracles``.
+"""The kernels' lattice, basic-block and dismantling predicates and their
+unisolated-subgraph enumeration against the slow references in ``oracles``.
 
-These run whether or not the compiled extension is built: every block on at
-most four reducibles, each block's single-element removals, random posets of
-up to nine elements, non-lattices included, and every edge count of K_1..K_7
-plus a few of K_8.
+Every block on at most four reducibles, each block's single-element
+removals, random posets of up to nine elements, non-lattices included, a
+complete block past one 64-bit word, and every edge count of K_1..K_7 plus a
+few of K_8.
 """
 
 from itertools import combinations
@@ -14,9 +13,10 @@ from math import comb
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fbblat._kernel import pure
-from fbblat.fbb import build_fbb
+from fbblat import _kernel
+from fbblat.fbb import build_cf, build_fbb
 from fbblat.labeling import unrank
+from fbblat.poset import is_lattice, nullity
 
 import oracles
 
@@ -25,12 +25,12 @@ def _assert_matches_oracles(label, names, covers):
     names = list(names)
     index = {x: i for i, x in enumerate(names)}
     n = len(names)
-    up, down = pure.closure(n, [(index[a], index[b]) for a, b in covers])
+    up, down = _kernel.closure(n, [(index[a], index[b]) for a, b in covers])
     where = f"{label}: {n} elements, covers {sorted(covers)}"
-    assert pure.is_lattice(n, up, down) == oracles.is_lattice(names, covers), where
-    assert (pure.basic_block_universal(n, up, down)
+    assert _kernel.is_lattice(n, up, down) == oracles.is_lattice(names, covers), where
+    assert (_kernel.basic_block_universal(n, up, down)
             == oracles.basic_block_by_removal(names, covers)), where
-    order = pure.dismantling_order(n, up, down)
+    order = _kernel.dismantling_order(n, up, down)
     if order is not None:
         order = tuple(names[i] for i in order)
     assert order == oracles.dismantling_order_by_recount(names, covers), where
@@ -78,6 +78,13 @@ def test_random_posets(poset):
     _assert_matches_oracles("random poset", names, covers)
 
 
+def test_complete_block_past_one_word():
+    big = build_cf(12).poset
+    assert len(big) == 89
+    assert is_lattice(big)
+    assert nullity(big) == comb(12, 2)
+
+
 # At nv = 8 the middle row q = 14 holds 39,186,780 masks, over a gigabyte
 # per list, so q = 6 and 22 stand in for it.
 _UNISOLATED_CELLS = [(nv, q) for nv in range(1, 8)
@@ -87,5 +94,5 @@ _UNISOLATED_CELLS += [(8, q) for q in (3, 4, 6, 22, 25)]
 
 def test_unisolated_masks_match_subset_scan():
     for nv, q in _UNISOLATED_CELLS:
-        assert (pure.unisolated_masks(nv, q)
+        assert (_kernel.unisolated_masks(nv, q)
                 == oracles.unisolated_masks_by_scan(nv, q)), f"nv={nv} q={q}"
