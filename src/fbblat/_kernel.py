@@ -71,28 +71,27 @@ def covers_within(n, up, down, mask):
     return out
 
 
-def induced_nullity_parts(n, up, down, mask):
-    """(cover-edge count, component count) of the subposet induced on mask."""
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    edges = 0
-    for x in range(n):
-        if not (mask >> x) & 1:
-            continue
-        for y in _bits(up[x] & mask):
-            if not up[x] & down[y] & mask:
-                edges += 1
-                ra, rb = find(x), find(y)
-                if ra != rb:
-                    parent[ra] = rb
-    comps = sum(1 for v in _bits(mask) if find(v) == v)
-    return edges, comps
+def induced_nullity_parts(n, covers, mask):
+    """(cover-edge count, component count) of the subposet induced on mask,
+    given its cover pairs ``covers`` (for the whole poset, ``Poset._covers``;
+    for a proper subset, ``covers_within``)."""
+    adj = [0] * n
+    for x, y in covers:
+        adj[x] |= 1 << y
+        adj[y] |= 1 << x
+    comps = 0
+    rest = mask
+    while rest:  # flood one component from the lowest element left
+        frontier = seen = rest & -rest
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            new = adj[low.bit_length() - 1] & ~seen
+            seen |= new
+            frontier |= new
+        rest &= ~seen
+        comps += 1
+    return len(covers), comps
 
 
 def _least_of(subset, up, down):
@@ -132,18 +131,22 @@ def is_lattice(n, up, down):
     A finite poset with a single minimal element (its bottom) is a lattice
     iff every pair has a join (Davey & Priestley): the meet of a pair is then
     the join of its nonempty set of lower bounds.  Comparable pairs always
-    have a join, so only incomparable pairs are scanned, and no meet is.
+    have a join, so only incomparable pairs are scanned, and no meet is;
+    each distinct set of common upper bounds is checked once.
     """
     if sum(1 for d in down if not d) > 1:
         return False
     full = (1 << n) - 1
+    joined = set()
     for i in range(n):
         inc = (full ^ ((2 << i) - 1)) & ~(up[i] | down[i])  # j > i only
         while inc:
             low = inc & -inc
             m = up[i] & up[low.bit_length() - 1]
-            if not m or _least_of(m, up, down) < 0:
-                return False
+            if m not in joined:
+                if not m or _least_of(m, up, down) < 0:
+                    return False
+                joined.add(m)
             inc ^= low
     return True
 
@@ -152,35 +155,43 @@ def reducibility(n, up, down):
     """(join_reducible, meet_reducible) masks, computed definitionally:
     x is join-reducible iff x = y v z for some y, z both distinct from x.
 
-    Only incomparable pairs can produce such an x, so those are scanned.
+    Only incomparable pairs can produce such an x, so those are scanned,
+    and each distinct set of common upper (lower) bounds is resolved to its
+    least (greatest) element once.
     """
     jr = 0
     mr = 0
     upr = [up[i] | (1 << i) for i in range(n)]
     downr = [down[i] | (1 << i) for i in range(n)]
+    uppers = set()
+    lowers = set()
+    full = (1 << n) - 1
     for i in range(n):
-        rel = up[i] | down[i]
-        for j in range(i + 1, n):
-            if (rel >> j) & 1:
-                continue
+        inc = (full ^ ((2 << i) - 1)) & ~(up[i] | down[i])  # j > i only
+        while inc:
+            low = inc & -inc
+            j = low.bit_length() - 1
+            inc ^= low
             m = upr[i] & upr[j]
-            if m:
+            if m and m not in uppers:
+                uppers.add(m)
                 u = _least_of(m, up, down)
                 if u >= 0:
                     jr |= 1 << u
             m = downr[i] & downr[j]
-            if m:
+            if m and m not in lowers:
+                lowers.add(m)
                 u = _greatest_of(m, up, down)
                 if u >= 0:
                     mr |= 1 << u
     return jr, mr
 
 
-def _cover_masks(n, up, down):
-    """Per-element (lower, upper) cover masks of the whole poset."""
+def _cover_masks(n, covers):
+    """Per-element (lower, upper) cover masks from the cover pairs."""
     lower = [0] * n
     upper = [0] * n
-    for x, y in covers_within(n, up, down, (1 << n) - 1):
+    for x, y in covers:
         upper[x] |= 1 << y
         lower[y] |= 1 << x
     return lower, upper
@@ -190,9 +201,10 @@ def _at_most_one(mask):
     return not mask & (mask - 1)
 
 
-def basic_block_universal(n, up, down):
+def basic_block_universal(n, up, down, covers):
     """One element, or no doubly irreducible element, or every doubly
-    irreducible element's removal drops the nullity by exactly one.
+    irreducible element's removal drops the nullity by exactly one;
+    ``covers`` is the poset's cover relation as index pairs.
 
     Each removal is decided locally.  Removing z deletes its one or two
     cover edges and can create only the cover (a, b), where a is z's lower
@@ -202,7 +214,7 @@ def basic_block_universal(n, up, down):
     """
     if n == 1:
         return True
-    lower, upper = _cover_masks(n, up, down)
+    lower, upper = _cover_masks(n, covers)
     for z in range(n):
         lo, hi = lower[z], upper[z]
         if not (_at_most_one(lo) and _at_most_one(hi)):
@@ -216,17 +228,18 @@ def basic_block_universal(n, up, down):
     return True
 
 
-def dismantling_order(n, up, down):
+def dismantling_order(n, up, down, covers):
     """Greedy removal order of doubly irreducible elements down to a
-    singleton, lowest index first, or None when the process gets stuck.
+    singleton, lowest index first, or None when the process gets stuck;
+    ``covers`` is the poset's cover relation as index pairs.
 
-    Cover masks are computed once and updated per removal: removing z from
+    Cover masks are built once and updated per removal: removing z from
     between its covers a and b deletes (a, z) and (z, b) and adds (a, b) when
     nothing else remaining lies between them.  No element's cover count
     grows, so a doubly irreducible element stays one until it is removed.
     """
     mask = (1 << n) - 1
-    lower, upper = _cover_masks(n, up, down)
+    lower, upper = _cover_masks(n, covers)
     irr = 0
     for v in range(n):
         if _at_most_one(lower[v]) and _at_most_one(upper[v]):

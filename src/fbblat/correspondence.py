@@ -5,8 +5,10 @@ oriented complete graph, and the induced bijection F_n(l) <-> D(n, l).
 to the arc (v_i, v_j), whose label is the pair's rank.  Restricting psi to
 the intervals a block actually realizes gives ``phi``; going the other way,
 an arc set with no isolated vertex is exactly a valid rank set, which is
-``phi_inverse``.  ``verify_equivalence`` runs the whole loop for one (n, l)
-cell and cross-counts it against both recurrences.
+``phi_inverse``.  Since arc labels are ranks, both are identities on the
+rank set: ``phi`` reads a block's ranks as an arc mask and ``phi_inverse``
+reads a digraph's mask as ranks.  ``verify_equivalence`` runs the whole
+loop for one (n, l) cell and cross-counts it against both recurrences.
 """
 
 from __future__ import annotations
@@ -78,10 +80,8 @@ class PsiMap:
 
     def graph_of(self, assoc):
         """Image of an associated class: the digraph with one arc per
-        realized interval."""
-        arcs = [(a.tail, a.head)
-                for a in (self.arc_of_interval(i, j) for i, j in assoc.intervals)]
-        return DirectedLabeledGraph(assoc.n, arcs)
+        realized interval, labeled by the interval's rank."""
+        return DirectedLabeledGraph.from_ranks(assoc.n, assoc.interval_ranks)
 
 
 def psi(n):
@@ -90,21 +90,20 @@ def psi(n):
 
 
 def phi(f):
-    """Digraph of a fundamental basic block; never has isolated vertices."""
-    return psi(f.n).graph_of(AssociatedClass.of_fbb(f))
+    """Digraph of a fundamental basic block, its ranks read as arc labels;
+    never has isolated vertices."""
+    return DirectedLabeledGraph.from_ranks(f.n, f.ranks)
 
 
 def phi_inverse(g):
-    """Fundamental basic block of a digraph without isolated vertices."""
+    """Fundamental basic block of a digraph without isolated vertices, its
+    arc labels read as the rank set."""
     isolated = graphs.isolated_vertices(g)
     if isolated:
         raise UncoveredVertexError(
             "digraph has isolated vertices: "
             + ", ".join(f"v{v}" for v in isolated), isolated)
-    pm = psi(g.n)
-    ranks = frozenset(rank(g.n, i, j)
-                      for i, j in (pm.interval_of_arc(a, b) for a, b in g.arcs))
-    return build_fbb(g.n, ranks)
+    return build_fbb(g.n, g.ranks)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,10 @@ the nullity).  CF(n) is the complete case Q = J_N.
 
 Because of that, Q doubles as the identity of the block: two blocks are equal
 as canonical posets iff their rank sets agree, which is what ``Fbb`` carries.
+Blocks are built from Q as index-pair covers, and extraction and the
+predicates decide on the poset's element indices and stored covers; the
+names u<i>/x<i>/c<k> are written for rendering and the public API, and never
+parsed back.
 """
 
 from __future__ import annotations
@@ -25,7 +29,9 @@ from .errors import (
     NotALatticeError,
     UncoveredVertexError,
 )
-from .labeling import rank, unrank
+# ``rank`` is unused here but stays importable as ``fbb.rank``, a binding
+# the benchmark's tracer tests rebind and check.
+from .labeling import PairChain, rank, unrank  # noqa: F401
 from .poset import Poset, is_lattice
 
 
@@ -110,29 +116,36 @@ def nullity_bounds(n):
     return (n + 1) // 2, comb(n, 2)
 
 
-def _assemble(n, rankset):
-    chain = []
-    for i in range(1, n):
-        chain.append(f"u{i}")
-        if rank(n, i, i + 1) in rankset:
-            chain.append(f"x{i}")
-    chain.append(f"u{n}")
-    ordered = sorted(rankset)
-    names = chain + [f"c{k}" for k in ordered]
-    covers = list(zip(chain, chain[1:]))
-    for k in ordered:
-        i, j = unrank(n, k)
-        covers.append((f"u{i}", f"c{k}"))
-        covers.append((f"c{k}", f"u{j}"))
-    return Poset(names, covers)
+def _assemble(n, ordered, pairs):
+    """The block with one c_k per label k of ``ordered`` (ascending), glued
+    between u_i and u_j for the matching (i, j) of ``pairs``.
+
+    Elements come in name order: the base chain u1 [x1] u2 ... un, then the
+    c_k by ascending k.  The covers are written as index pairs directly, so
+    no name is looked up."""
+    consecutive = {i for i, j in pairs if j == i + 1}
+    names = []
+    u = [0] * (n + 1)  # u[i]: index of u_i
+    for i in range(1, n + 1):
+        u[i] = len(names)
+        names.append(f"u{i}")
+        if i in consecutive:
+            names.append(f"x{i}")
+    covers = [(a, a + 1) for a in range(len(names) - 1)]
+    for c, (k, (i, j)) in enumerate(zip(ordered, pairs), len(names)):
+        names.append(f"c{k}")
+        covers.append((u[i], c))
+        covers.append((c, u[j]))
+    return Poset._from_index_covers(names, covers)
 
 
 def build_cf(n):
     """The complete fundamental basic block CF(n)."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    full = frozenset(range(1, comb(n, 2) + 1))
-    return CompleteFbb(n, full, _assemble(n, full))
+    labels = range(1, comb(n, 2) + 1)
+    return CompleteFbb(n, frozenset(labels),
+                       _assemble(n, labels, PairChain.of(n).pairs))
 
 
 def build_fbb(n, ranks):
@@ -149,17 +162,15 @@ def build_fbb(n, ranks):
     bad = sorted(k for k in rankset if not 1 <= k <= top)
     if bad:
         raise ValueError(f"labels outside J_N = 1..{top}: {bad}")
-    covered = set()
-    for k in rankset:
-        i, j = unrank(n, k)
-        covered.add(i)
-        covered.add(j)
-    missing = sorted(set(range(1, n + 1)) - covered)
-    if missing:
+    ordered = sorted(rankset)
+    pairs = [unrank(n, k) for k in ordered]
+    covered = {v for pair in pairs for v in pair}
+    if len(covered) < n:
+        missing = [v for v in range(1, n + 1) if v not in covered]
         raise UncoveredVertexError(
             "no adjunct pair touches " + ", ".join(f"u{v}" for v in missing),
             missing)
-    return Fbb(n, rankset, _assemble(n, rankset))
+    return Fbb(n, rankset, _assemble(n, ordered, pairs))
 
 
 def is_basic_block_universal(p):
@@ -171,7 +182,7 @@ def is_basic_block_universal(p):
     recounting the nullity; the result is cached on the poset."""
     if "basic_block" not in p._cache:
         p._cache["basic_block"] = _kernel.basic_block_universal(
-            len(p), p._up, p._down)
+            len(p), p._up, p._down, p._covers)
     return p._cache["basic_block"]
 
 
@@ -186,8 +197,8 @@ def is_fundamental_basic_block(f):
         return False
     if not is_basic_block_universal(p):
         return False
-    pairs = [(t.lower, t.upper) for t in extract_adjunct_representation(f).terms]
-    return len(set(pairs)) == len(pairs)
+    _, terms = _adjunct_terms(f)
+    return len({pair for _, pair in terms}) == len(terms)
 
 
 def extract_adjunct_representation(f):
@@ -196,45 +207,64 @@ def extract_adjunct_representation(f):
 
     Only the canonical block shape is handled: names u<i>/x<i>/c<k>, the u's
     and x's forming the base chain and each c_k doubly irreducible between
-    the reducibles named by unrank(k).  Anything else raises.
+    the reducibles named by unrank(k).  Anything else raises.  The shape is
+    decided on the poset's index map and stored covers.
     """
+    chain, terms = _adjunct_terms(f)
+    return AdjunctRepresentation(
+        chain, tuple(AdjunctTerm(f"u{i}", f"u{j}", (f"c{k}",))
+                     for k, (i, j) in terms))
+
+
+def _adjunct_terms(f):
+    """(base chain names, [(k, (i, j)) per label k ascending]) of a block of
+    the canonical shape, else ExtractionUnsupportedError.
+
+    The canonical names must be exactly the poset's, and its stored covers
+    exactly the chain links plus u_i -> c_k -> u_j for every k: a poset
+    whose chain links and c_k covers are right has no other cover, since
+    any other link between chain elements would be implied or close a
+    cycle.  The link-by-link checks run only to name what broke."""
     p = f.poset
     n = f.n
-    expected_chain = []
-    for i in range(1, n):
-        expected_chain.append(f"u{i}")
-        if f"x{i}" in p:
-            expected_chain.append(f"x{i}")
-    expected_chain.append(f"u{n}")
-    cs = []
-    for name in p.names:
-        if name in expected_chain:
-            continue
-        if not name.startswith("c"):
-            raise ExtractionUnsupportedError(
-                f"element {name!r} is outside the canonical naming scheme")
-        try:
-            k = int(name[1:])
-        except ValueError:
-            raise ExtractionUnsupportedError(
-                f"element {name!r} is outside the canonical naming scheme") from None
-        cs.append(k)
-    cs.sort()
-    if frozenset(cs) != f.ranks:
+    index = p._index
+    chain = []
+    u = [0] * (n + 1)  # u[i]: position of u_i in the chain
+    for i in range(1, n + 1):
+        u[i] = len(chain)
+        chain.append(f"u{i}")
+        if i < n and f"x{i}" in index:
+            chain.append(f"x{i}")
+    ordered = sorted(f.ranks)
+    names = chain + [f"c{k}" for k in ordered]
+    try:
+        pos = [index[name] for name in names]
+    except KeyError as exc:
         raise ExtractionUnsupportedError(
-            f"poset members {sorted(cs)} disagree with the rank set "
-            f"{sorted(f.ranks)}")
-    covers = set(p.covers)
-    for lo, hi in zip(expected_chain, expected_chain[1:]):
-        if (lo, hi) not in covers:
-            raise ExtractionUnsupportedError(
-                f"base chain is broken between {lo!r} and {hi!r}")
-    terms = []
-    for k in cs:
-        i, j = unrank(n, k)
-        name = f"c{k}"
-        if p.lower_covers(name) != (f"u{i}",) or p.upper_covers(name) != (f"u{j}",):
-            raise ExtractionUnsupportedError(
-                f"{name!r} is not glued between u{i} and u{j}")
-        terms.append(AdjunctTerm(f"u{i}", f"u{j}", (name,)))
-    return AdjunctRepresentation(tuple(expected_chain), tuple(terms))
+            f"element {exc.args[0]!r} of the canonical block of rank set "
+            f"{ordered} is missing") from None
+    if len(pos) != len(p):
+        known = set(names)
+        extra = next(name for name in p.names if name not in known)
+        raise ExtractionUnsupportedError(
+            f"element {extra!r} is outside the canonical block of rank set "
+            f"{ordered}")
+    terms = [(k, unrank(n, k)) for k in ordered]
+    links = list(zip(pos, pos[1:len(chain)]))
+    glued = [(pos[u[i]], c, pos[u[j]])
+             for c, (_, (i, j)) in zip(pos[len(chain):], terms)]
+    expected = (links + [(lo, c) for lo, c, _ in glued]
+                + [(c, hi) for _, c, hi in glued])
+    if sorted(expected) != list(p._covers):
+        covers = set(p._covers)
+        for lo, hi in links:
+            if (lo, hi) not in covers:
+                raise ExtractionUnsupportedError(
+                    f"base chain is broken between {p.name_of(lo)!r} "
+                    f"and {p.name_of(hi)!r}")
+        for (k, (i, j)), (lo, c, hi) in zip(terms, glued):
+            if ({a for a, b in covers if b == c} != {lo}
+                    or {b for a, b in covers if a == c} != {hi}):
+                raise ExtractionUnsupportedError(
+                    f"'c{k}' is not glued between u{i} and u{j}")
+    return tuple(chain), terms

@@ -52,6 +52,16 @@ class LabeledGraph:
         obj.mask = mask
         return obj
 
+    @classmethod
+    def from_ranks(cls, n, ranks):
+        """The graph whose edge labels are ``ranks``."""
+        mask = 0
+        for k in ranks:
+            if k < 1:
+                raise ValueError(f"edge label {k} outside J_N for n = {n}")
+            mask |= 1 << (k - 1)
+        return cls.from_mask(n, mask)
+
     @property
     def edges(self):
         return tuple(unrank(self.n, k) for k in _mask_ranks(self.mask))
@@ -135,12 +145,20 @@ def forget_orientation(dg):
 
 
 def isolated_vertices(g):
-    """Vertices of 1..n incident to no edge, ascending."""
-    touched = set()
-    for i, j in g.edges:
-        touched.add(i)
-        touched.add(j)
-    return tuple(v for v in range(1, g.n + 1) if v not in touched)
+    """Vertices of 1..n incident to no edge, ascending.
+
+    Read off the mask block by block: block S_i is the next n - i bits,
+    the pairs (i, i+1)..(i, n), so its bits shifted up by i + 1 are the
+    vertices above i that its edges reach."""
+    n, mask = g.n, g.mask
+    touched = 0
+    for i in range(1, n):
+        width = n - i
+        block = mask & ((1 << width) - 1)
+        if block:
+            touched |= (1 << i) | (block << (i + 1))
+        mask >>= width
+    return tuple(v for v in range(1, n + 1) if not touched >> v & 1)
 
 
 def has_isolated_vertex(g):

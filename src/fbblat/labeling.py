@@ -7,7 +7,8 @@ chain; ``rank`` realizes its order isomorphism onto J_N = {1..C(n,2)} via
 
 and ``unrank`` inverts it.  The chain splits into blocks S_1..S_{n-1} (block
 r holds the pairs with first coordinate r) and block r ends at the label
-r*n - C(r+1,2), which is what ``unrank`` binary-searches.
+r*n - C(r+1,2).  Counted from the top, the last s blocks hold C(s+1, 2)
+labels, so ``unrank`` finds a label's block with one integer square root.
 
 Labels are plain ints; indexing is 1-based throughout, and callers that host
 0-based conventions convert at this module's boundary.
@@ -16,7 +17,7 @@ Labels are plain ints; indexing is 1-based throughout, and callers that host
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, isqrt
 
 from .errors import OrientationError
 
@@ -57,18 +58,12 @@ def block_end(n, r):
 def unrank(n, k):
     """The unique pair (i, j) with rank(n, i, j) = k."""
     _check_n(n)
-    top = comb(n, 2)
+    top = n * (n - 1) // 2
     if not 1 <= k <= top:
         raise ValueError(f"label {k} outside J_N = 1..{top}")
-    lo, hi = 1, n - 1
-    while lo < hi:  # smallest r whose block end reaches k
-        mid = (lo + hi) // 2
-        if mid * n - comb(mid + 1, 2) >= k:
-            hi = mid
-        else:
-            lo = mid + 1
-    before = (lo - 1) * n - comb(lo, 2)
-    return lo, lo + (k - before)
+    after = top - k  # labels above k
+    s = (isqrt(8 * after + 1) + 1) // 2  # k lies in block S_{n-s}, s pairs
+    return n - s, n - after + s * (s - 1) // 2
 
 
 @dataclass(frozen=True)

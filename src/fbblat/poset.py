@@ -1,7 +1,9 @@
 """Finite posets presented by their cover relation.
 
 The cover list is the stored truth; comparability, lattice-ness, nullity,
-reducibility and dismantlability are all derived from it on demand.  Elements
+reducibility and dismantlability are all derived from it on demand.  The
+constructor rejects transitively implied covers, so the stored index pairs
+are exactly the cover relation and the kernels take them as given.  Elements
 carry canonical string names ("u3", "x2", "c5", ...) and two posets compare
 equal when they have the same names and the same cover relation on names --
 the structural stand-in for isomorphism of canonically named objects.
@@ -44,6 +46,11 @@ class ReducibilityReport:
     doubly_irreducible: frozenset
 
 
+class _IndexPairs(tuple):
+    """Cover pairs given as element indices, which the constructor takes
+    without resolving names."""
+
+
 class Poset:
     __slots__ = ("_names", "_index", "_covers", "_up", "_down", "_cache")
 
@@ -51,24 +58,30 @@ class Poset:
         names = tuple(names)
         if not names:
             raise MalformedPosetError("a poset needs at least one element")
-        index = {}
-        for pos, name in enumerate(names):
-            if name in index:
-                raise MalformedPosetError(f"duplicate element name {name!r}")
-            index[name] = pos
-        pairs = set()
-        for lo, hi in covers:
-            try:
-                a, b = index[lo], index[hi]
-            except KeyError as exc:
+        index = {name: pos for pos, name in enumerate(names)}
+        if len(index) != len(names):
+            dup = next(name for pos, name in enumerate(names) if index[name] != pos)
+            raise MalformedPosetError(f"duplicate element name {dup!r}")
+        if isinstance(covers, _IndexPairs):
+            pairs = covers
+        else:
+            pairs = []
+            for lo, hi in covers:
+                try:
+                    pairs.append((index[lo], index[hi]))
+                except KeyError as exc:
+                    raise MalformedPosetError(
+                        f"cover endpoint {exc.args[0]!r} is not an element") from None
+        size = len(names)
+        for a, b in pairs:
+            if not (0 <= a < size and 0 <= b < size):
                 raise MalformedPosetError(
-                    f"cover endpoint {exc.args[0]!r} is not an element") from None
+                    f"cover ({a}, {b}) indexes outside the {size} elements")
             if a == b:
-                raise MalformedPosetError(f"self-cover on {lo!r}")
-            pairs.add((a, b))
-        pairs = tuple(sorted(pairs))
+                raise MalformedPosetError(f"self-cover on {names[a]!r}")
+        pairs = tuple(sorted(set(pairs)))
         try:
-            up, down = _kernel.closure(len(names), pairs)
+            up, down = _kernel.closure(size, pairs)
         except ValueError as exc:
             raise MalformedPosetError(str(exc)) from None
         for a, b in pairs:
@@ -81,6 +94,12 @@ class Poset:
         self._up = tuple(up)
         self._down = tuple(down)
         self._cache = {}
+
+    @classmethod
+    def _from_index_covers(cls, names, covers):
+        """Poset on ``names`` from (lower, upper) index pairs into it: the
+        constructor, with its checks, minus the name lookups."""
+        return cls(names, _IndexPairs(covers))
 
     @classmethod
     def chain(cls, names):
@@ -164,6 +183,8 @@ class Poset:
     def __eq__(self, other):
         if not isinstance(other, Poset):
             return NotImplemented
+        if self._names == other._names:  # same order: the index covers decide
+            return self._covers == other._covers
         return (set(self._names) == set(other._names)
                 and set(self.covers) == set(other.covers))
 
@@ -192,14 +213,16 @@ def transitive_order(p):
 def cover_graph(p):
     """The poset's covers as a plain graph, with its component count."""
     full = (1 << len(p)) - 1
-    _, comps = _kernel.induced_nullity_parts(len(p), p._up, p._down, full)
+    _, comps = _kernel.induced_nullity_parts(len(p), p._covers, full)
     return CoverGraph(p.names, p.covers, comps)
 
 
 def nullity(p):
     """Cycle rank |E| - |V| + c of the cover graph."""
     if "nullity" not in p._cache:
-        p._cache["nullity"] = len(p._covers) - len(p) + cover_graph(p).components
+        edges, comps = _kernel.induced_nullity_parts(
+            len(p), p._covers, (1 << len(p)) - 1)
+        p._cache["nullity"] = edges - len(p) + comps
     return p._cache["nullity"]
 
 
@@ -267,7 +290,7 @@ def dismantling_order(p):
     """
     if not is_lattice(p):
         raise NotALatticeError("dismantlability is defined for lattices")
-    order = _kernel.dismantling_order(len(p), p._up, p._down)
+    order = _kernel.dismantling_order(len(p), p._up, p._down, p._covers)
     if order is None:
         return None
     return tuple(p._names[i] for i in order)

@@ -1,13 +1,21 @@
 """Slow independent reference implementations, used only to cross-check.
 
-Nothing here touches the package's kernels: order closure and component
-counts come from networkx, subset enumeration from itertools, and lattice
-checks from brute-force bound scans.
+Order closure and component counts come from networkx, subset enumeration
+from itertools, and lattice and reducibility checks from brute-force bound
+scans; none of these touches the package's kernels.  The name-based block
+assembly and extraction are the package's earlier routines, kept as the
+reference for the index-based ones: they build and read posets through the
+public constructor and name lookups.
 """
 
 import itertools
 
 import networkx as nx
+
+from fbblat.errors import ExtractionUnsupportedError
+from fbblat.fbb import AdjunctRepresentation, AdjunctTerm
+from fbblat.labeling import rank, unrank
+from fbblat.poset import Poset
 
 
 def order_pairs(names, covers):
@@ -60,6 +68,29 @@ def is_lattice(names, covers):
     return True
 
 
+def _least(candidates, le):
+    least = [u for u in candidates if all((u, v) in le for v in candidates)]
+    return least[0] if len(least) == 1 else None
+
+
+def reducibility(names, covers):
+    """(join-reducible, meet-reducible) element sets by definition: x is
+    join-reducible iff x is the least upper bound of two elements both
+    distinct from x, dually for meets."""
+    names = list(names)
+    le = set(order_pairs(names, covers)) | {(x, x) for x in names}
+    ge = {(b, a) for a, b in le}
+    join_red, meet_red = set(), set()
+    for y, z in itertools.combinations(names, 2):
+        join = _least([u for u in names if (y, u) in le and (z, u) in le], le)
+        if join is not None and join not in (y, z):
+            join_red.add(join)
+        meet = _least([u for u in names if (u, y) in le and (u, z) in le], ge)
+        if meet is not None and meet not in (y, z):
+            meet_red.add(meet)
+    return join_red, meet_red
+
+
 def doubly_irreducible(names, covers):
     """Elements with at most one upper and at most one lower cover."""
     uppers = {x: 0 for x in names}
@@ -108,6 +139,17 @@ def dict_pairs(n):
     return sorted((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
 
 
+def valid_rank_sets(max_n):
+    """(n, rank tuple) of every rank set on 2..max_n reducibles whose pairs
+    touch every vertex, by scanning all label subsets."""
+    for n in range(2, max_n + 1):
+        labels = range(1, n * (n - 1) // 2 + 1)
+        for size in range(1, len(labels) + 1):
+            for ranks in itertools.combinations(labels, size):
+                if len({v for k in ranks for v in unrank(n, k)}) == n:
+                    yield n, ranks
+
+
 def unisolated_edge_sets(n, q):
     """Edge q-subsets of K_n covering every vertex, by full subset scan."""
     out = []
@@ -142,3 +184,67 @@ def unisolated_masks_by_scan(nv, q):
         else:
             out.append(m)
     return out
+
+
+def assemble_by_names(n, rankset):
+    """Block of the rank set written as u<i>/x<i>/c<k> name covers and
+    built through the public constructor, which resolves every name."""
+    chain = []
+    for i in range(1, n):
+        chain.append(f"u{i}")
+        if rank(n, i, i + 1) in rankset:
+            chain.append(f"x{i}")
+    chain.append(f"u{n}")
+    ordered = sorted(rankset)
+    names = chain + [f"c{k}" for k in ordered]
+    covers = list(zip(chain, chain[1:]))
+    for k in ordered:
+        i, j = unrank(n, k)
+        covers.append((f"u{i}", f"c{k}"))
+        covers.append((f"c{k}", f"u{j}"))
+    return Poset(names, covers)
+
+
+def extract_by_names(f):
+    """Adjunct representation of a canonically named block, by parsing the
+    c<k> names back into labels and asking each c_k for its covers."""
+    p = f.poset
+    n = f.n
+    expected_chain = []
+    for i in range(1, n):
+        expected_chain.append(f"u{i}")
+        if f"x{i}" in p:
+            expected_chain.append(f"x{i}")
+    expected_chain.append(f"u{n}")
+    cs = []
+    for name in p.names:
+        if name in expected_chain:
+            continue
+        if not name.startswith("c"):
+            raise ExtractionUnsupportedError(
+                f"element {name!r} is outside the canonical naming scheme")
+        try:
+            k = int(name[1:])
+        except ValueError:
+            raise ExtractionUnsupportedError(
+                f"element {name!r} is outside the canonical naming scheme") from None
+        cs.append(k)
+    cs.sort()
+    if frozenset(cs) != f.ranks:
+        raise ExtractionUnsupportedError(
+            f"poset members {sorted(cs)} disagree with the rank set "
+            f"{sorted(f.ranks)}")
+    covers = set(p.covers)
+    for lo, hi in zip(expected_chain, expected_chain[1:]):
+        if (lo, hi) not in covers:
+            raise ExtractionUnsupportedError(
+                f"base chain is broken between {lo!r} and {hi!r}")
+    terms = []
+    for k in cs:
+        i, j = unrank(n, k)
+        name = f"c{k}"
+        if p.lower_covers(name) != (f"u{i}",) or p.upper_covers(name) != (f"u{j}",):
+            raise ExtractionUnsupportedError(
+                f"{name!r} is not glued between u{i} and u{j}")
+        terms.append(AdjunctTerm(f"u{i}", f"u{j}", (name,)))
+    return AdjunctRepresentation(tuple(expected_chain), tuple(terms))

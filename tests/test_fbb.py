@@ -5,6 +5,8 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fbblat import _kernel
 from fbblat.errors import (DisjointnessError, ExtractionUnsupportedError,
@@ -234,9 +236,9 @@ def test_basic_block_result_is_cached(monkeypatch):
     calls = []
     real = _kernel.basic_block_universal
 
-    def counted(n, up, down):
+    def counted(n, up, down, covers):
         calls.append(n)
-        return real(n, up, down)
+        return real(n, up, down, covers)
 
     monkeypatch.setattr(_kernel, "basic_block_universal", counted)
     block = build_fbb(4, {1, 3, 4, 5})
@@ -302,6 +304,80 @@ def test_fundamental_predicate_rejects_broken_basic_block(cf4_expected):
     covers = list(cf4_expected.covers) + [("u4", "t")]
     spliced = Fbb(4, frozenset(range(1, 7)), Poset(names, covers))
     assert not is_fundamental_basic_block(spliced)
+
+
+# -- index-based assembly and extraction against the name-based reference -------------
+
+def _assert_same_block(n, ranks):
+    where = f"n={n} Q={sorted(ranks)}"
+    block = build_fbb(n, ranks)
+    p, ref = block.poset, oracles.assemble_by_names(n, ranks)
+    assert p.names == ref.names, where
+    assert p._covers == ref._covers, where
+    assert p._up == ref._up, where
+    assert p._down == ref._down, where
+    assert (extract_adjunct_representation(block)
+            == oracles.extract_by_names(block)), where
+
+
+def test_assembly_matches_name_based_reference():
+    for n, ranks in oracles.valid_rank_sets(5):
+        _assert_same_block(n, frozenset(ranks))
+    for n in range(2, 8):
+        cf = build_cf(n)
+        ref = oracles.assemble_by_names(n, cf.ranks)
+        assert (cf.poset.names, cf.poset._covers) == (ref.names, ref._covers), n
+
+
+@st.composite
+def _rank_sets(draw):
+    """A rank set on 2..9 reducibles: random labels, then one pair added
+    for every vertex they leave uncovered."""
+    n = draw(st.integers(2, 9))
+    ranks = draw(st.sets(st.integers(1, comb(n, 2))))
+    covered = {v for k in ranks for v in unrank(n, k)}
+    for v in range(1, n + 1):
+        if v not in covered:
+            ranks.add(rank(n, v, v + 1) if v < n else rank(n, v - 1, v))
+    return n, frozenset(ranks)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rank_sets())
+def test_assembly_matches_name_based_reference_random(case):
+    _assert_same_block(*case)
+
+
+def _extraction_outcome(extract, block):
+    try:
+        return extract(block)
+    except Exception as exc:  # the type is what is compared
+        return type(exc)
+
+
+def _foreign_blocks(cf4):
+    spliced = Poset(list(cf4.names) + ["t"], list(cf4.covers) + [("u4", "t")])
+    f = build_fbb(4, {1, 3, 4, 5}).poset
+    yield Fbb(2, frozenset({1}), Poset.chain("abc"))
+    yield Fbb(2, frozenset({1}), Poset.from_covers([("u1", "c1"), ("u1", "x1")]))
+    yield Fbb(4, frozenset(range(1, 7)), spliced)
+    yield Fbb(4, frozenset({1, 3, 4}), f)                       # c5 not in Q
+    yield Fbb(4, frozenset({1, 3, 4, 5, 6}), f)                 # c6 missing
+    yield Fbb(4, frozenset({1, 3, 4, 5}), remove_element(f, "x1"))
+    yield Fbb(4, frozenset({1, 3, 4, 5}), Poset.from_covers(   # c3 glued low
+        [c for c in f.covers if c != ("c3", "u4")] + [("c3", "u3")]))
+    yield Fbb(4, frozenset({1, 3, 4, 5}),
+              Poset.from_covers(f.covers, ["u1", "x1", "x9"]))  # stray name
+    yield Fbb(4, frozenset({1, 3, 4, 5}), f)                    # the block
+    yield Fbb(3, frozenset({2, 3}), Poset.from_covers(          # x1, no c1
+        [("u1", "x1"), ("x1", "u2"), ("u2", "x2"), ("x2", "u3"),
+         ("u1", "c2"), ("c2", "u3"), ("u2", "c3"), ("c3", "u3")]))
+
+
+def test_extraction_matches_name_based_reference_on_foreign_posets(cf4_expected):
+    for block in _foreign_blocks(cf4_expected):
+        assert (_extraction_outcome(extract_adjunct_representation, block)
+                == _extraction_outcome(oracles.extract_by_names, block)), block
 
 
 # -- bounds and removal route -------------------------------------------------------------

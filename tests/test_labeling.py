@@ -71,6 +71,18 @@ def test_round_trip_property(n, data):
     assert unrank(n, rank(n, i2, j2)) == (i2, j2)
 
 
+@pytest.mark.parametrize("n", [MAX_N - 1, MAX_N])
+def test_round_trip_at_the_size_limit(n):
+    top = comb(n, 2)
+    labels = {1, top}
+    for r in [*range(1, 51), *range(n - 50, n)]:
+        labels.add(block_end(n, r))
+        if r < n - 1:
+            labels.add(block_end(n, r) + 1)
+    for k in sorted(labels):
+        assert rank(n, *unrank(n, k)) == k, f"n={n} k={k}"
+
+
 def test_pair_chain_structure():
     for n in range(2, 10):
         chain = PairChain.of(n)

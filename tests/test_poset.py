@@ -47,6 +47,27 @@ def test_rejects_empty():
         Poset([], [])
 
 
+@pytest.mark.parametrize("names,covers", [
+    ("abc", [(0, 1), (1, 2), (2, 0)]),  # cycle
+    ("abc", [(0, 1), (1, 2), (0, 2)]),  # implied by transitivity
+    (["a", "a"], []),
+    ("ab", [(0, 0)]),
+    ("ab", [(0, 2)]),
+    ("ab", [(-1, 0)]),
+    ([], []),
+])
+def test_index_constructor_rejects_malformed_input(names, covers):
+    with pytest.raises(MalformedPosetError):
+        Poset._from_index_covers(names, covers)
+
+
+def test_index_constructor_matches_name_constructor():
+    p = Poset.from_covers(CF4_COVER_LIST)
+    pairs = [(p.index_of(a), p.index_of(b)) for a, b in CF4_COVER_LIST]
+    q = Poset._from_index_covers(p.names, pairs[::-1] + pairs[:3])
+    assert (q.names, q._covers, q._up, q._down) == (p.names, p._covers, p._up, p._down)
+
+
 # -- transitive order -----------------------------------------------------------
 
 def test_order_of_chain():

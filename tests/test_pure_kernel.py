@@ -1,5 +1,6 @@
-"""The kernels' lattice, basic-block and dismantling predicates and their
-unisolated-subgraph enumeration against the slow references in ``oracles``.
+"""The kernels' lattice, reducibility, nullity, basic-block and dismantling
+predicates and their unisolated-subgraph enumeration against the slow
+references in ``oracles``.
 
 Every block on at most four reducibles, each block's single-element
 removals, random posets of up to nine elements, non-lattices included, a
@@ -7,7 +8,6 @@ complete block past one 64-bit word, and every edge count of K_1..K_7 plus a
 few of K_8.
 """
 
-from itertools import combinations
 from math import comb
 
 from hypothesis import given, settings
@@ -15,34 +15,39 @@ from hypothesis import strategies as st
 
 from fbblat import _kernel
 from fbblat.fbb import build_cf, build_fbb
-from fbblat.labeling import unrank
 from fbblat.poset import is_lattice, nullity
 
 import oracles
+
+
+def _names_of(mask, names):
+    return {x for i, x in enumerate(names) if mask >> i & 1}
 
 
 def _assert_matches_oracles(label, names, covers):
     names = list(names)
     index = {x: i for i, x in enumerate(names)}
     n = len(names)
-    up, down = _kernel.closure(n, [(index[a], index[b]) for a, b in covers])
+    pairs = sorted((index[a], index[b]) for a, b in covers)
+    up, down = _kernel.closure(n, pairs)
     where = f"{label}: {n} elements, covers {sorted(covers)}"
     assert _kernel.is_lattice(n, up, down) == oracles.is_lattice(names, covers), where
-    assert (_kernel.basic_block_universal(n, up, down)
+    jr, mr = _kernel.reducibility(n, up, down)
+    assert ((_names_of(jr, names), _names_of(mr, names))
+            == oracles.reducibility(names, covers)), where
+    edges, comps = _kernel.induced_nullity_parts(n, pairs, (1 << n) - 1)
+    assert edges - n + comps == oracles.nullity(names, covers), where
+    assert (_kernel.basic_block_universal(n, up, down, pairs)
             == oracles.basic_block_by_removal(names, covers)), where
-    order = _kernel.dismantling_order(n, up, down)
+    order = _kernel.dismantling_order(n, up, down, pairs)
     if order is not None:
         order = tuple(names[i] for i in order)
     assert order == oracles.dismantling_order_by_recount(names, covers), where
 
 
 def _blocks(max_n):
-    for n in range(2, max_n + 1):
-        labels = range(1, comb(n, 2) + 1)
-        for size in range(1, len(labels) + 1):
-            for ranks in combinations(labels, size):
-                if len({v for k in ranks for v in unrank(n, k)}) == n:
-                    yield n, ranks, build_fbb(n, ranks).poset
+    for n, ranks in oracles.valid_rank_sets(max_n):
+        yield n, ranks, build_fbb(n, ranks).poset
 
 
 def test_every_small_block_and_its_removals():
