@@ -13,15 +13,31 @@ so it raises instead of truncating.
 
     f(m+1, l) = sum_{k=1..m} sum_{j=0..k} C(m,j) C(m-j, k-j) f(m-j, l-k)
 
-with f(0,0) = 1 and f(1,l) = 0; negative l contributes 0.
+with f(0,0) = 1 and f(1,l) = 0; negative l contributes 0.  It fills it in
+polynomial form.  Write F_n(y) = sum_l f(n, l) y^l.  Put i = m-j and
+t = k-j; the binomial identity sum_t C(i,t) y^t = (1+y)^i sums out t, and
+the recurrence becomes
+
+    F_{m+1}(y) = sum_{i=0..m} C(m,i) y^(m-i) P_i(y) - F_m(y),
+    P_i(y) = (1+y)^i F_i(y),
+
+where the subtracted F_m is the k = 0 term the recurrence leaves out.  P_i
+does not depend on m, so it is kept in a second table, one row per row of
+f, built once when row i is.  A row then costs O(m N) big-int additions
+and multiplications by the word-sized C(m,i), against the O(m^2 N)
+products of two binomials of the triple sum, which ``tests/oracles.py``
+keeps as the reference.
 
 ``count_d_oracle`` is the independent inclusion-exclusion sum over forced
 isolated-vertex sets and exists purely to cross-check the other two.
 
 Everything is an exact Python int; tables are filled iteratively row by row
 (no recursion) and grow on demand.  Completed rows are never mutated.  Rows
-are filled under one lock, so concurrent callers never compute a row twice
-or read a half-built table; reading rows that are already there takes no lock.
+of every table, the f and P tables included, are filled under one lock, so
+concurrent callers never compute a row twice or read a half-built table;
+reading rows that are already there takes no lock.  The f and P tables
+grow together, row for row; a fill that finds them of different lengths
+raises instead of pairing a row of f with the wrong P.
 """
 
 from __future__ import annotations
@@ -33,6 +49,7 @@ from math import comb
 
 _d_rows = [[1], [0]]
 _f_rows = [[1], [0]]
+_p_rows = [[1], [0, 0]]  # P_i = (1+y)^i F_i, one per row of _f_rows
 _fill_lock = threading.Lock()
 
 
@@ -77,23 +94,32 @@ def count_d_oracle(n, q):
                for k in range(n + 1))
 
 
+def _times_one_plus_y(poly, times):
+    """Coefficients of (1+y)^times * poly."""
+    for _ in range(times):
+        poly = [a + b for a, b in zip(poly + [0], [0] + poly)]
+    return poly
+
+
 def _fill_f(n):
     if len(_f_rows) > n:
         return
     with _fill_lock:
+        if len(_p_rows) != len(_f_rows):
+            raise ArithmeticError(
+                f"internal error: {len(_f_rows)} rows of f but {len(_p_rows)} "
+                f"rows of (1+y)^i f")
         while len(_f_rows) <= n:
             m = len(_f_rows) - 1  # recurrence steps from row m to row m+1
-            big_n = comb(m + 1, 2)
-            row = [0] * (big_n + 1)
-            for l in range(big_n + 1):
-                acc = 0
-                for k in range(1, min(m, l) + 1):
-                    for j in range(k + 1):
-                        src = _f_rows[m - j]
-                        if l - k < len(src):
-                            acc += comb(m, j) * comb(m - j, k - j) * src[l - k]
-                row[l] = acc
+            row = [0] * (comb(m + 1, 2) + 1)
+            for i, p in enumerate(_p_rows):
+                c = comb(m, i)  # term C(m,i) y^(m-i) P_i
+                for t, v in enumerate(p, m - i):
+                    row[t] += c * v
+            for l, v in enumerate(_f_rows[m]):
+                row[l] -= v
             _f_rows.append(row)
+            _p_rows.append(_times_one_plus_y(row, m + 1))
 
 
 def count_f(n, l):

@@ -5,10 +5,14 @@ from itertools, and lattice and reducibility checks from brute-force bound
 scans; none of these touches the package's kernels.  The name-based block
 assembly and extraction are the package's earlier routines, kept as the
 reference for the index-based ones: they build and read posets through the
-public constructor and name lookups.
+public constructor and name lookups.  The counting references are the block
+recurrence as its literal triple sum and inclusion-exclusion over forced
+isolated-vertex sets, both from ``math.comb`` alone.
 """
 
 import itertools
+from functools import cache
+from math import comb
 
 import networkx as nx
 
@@ -248,3 +252,43 @@ def extract_by_names(f):
                 f"{name!r} is not glued between u{i} and u{j}")
         terms.append(AdjunctTerm(f"u{i}", f"u{j}", (name,)))
     return AdjunctRepresentation(tuple(expected_chain), tuple(terms))
+
+
+def f_rows_by_triple_sum(max_n):
+    """Rows f(n, 0..C(n,2)) for n = 0..max_n from the block recurrence as
+    written, f(m+1, l) = sum over 1 <= k <= m and 0 <= j <= k of
+    C(m,j) C(m-j,k-j) f(m-j, l-k), with f(0,0) = 1 and f(1,l) = 0."""
+    rows = [[1], [0]]
+    for m in range(1, max_n):
+        row = []
+        for l in range(comb(m + 1, 2) + 1):
+            acc = 0
+            for k in range(1, min(m, l) + 1):
+                for j in range(k + 1):
+                    src = rows[m - j]
+                    if l - k < len(src):
+                        acc += comb(m, j) * comb(m - j, k - j) * src[l - k]
+            row.append(acc)
+        rows.append(row)
+    return rows[:max_n + 1]
+
+
+@cache
+def _binomial_row(top):
+    """C(top, 0..top), each entry from the one before it."""
+    row = [1]
+    for q in range(1, top + 1):
+        row.append(row[-1] * (top - q + 1) // q)
+    return row
+
+
+def d_row_by_inclusion_exclusion(n):
+    """d(n, 0..C(n,2)): edge sets of K_n that touch every vertex, as the sum
+    over k of (-1)^k C(n,k) C(C(n-k,2), q), taken one binomial row at a
+    time."""
+    out = [0] * (comb(n, 2) + 1)
+    for k in range(n + 1):
+        sign = comb(n, k) if k % 2 == 0 else -comb(n, k)
+        for q, b in enumerate(_binomial_row(comb(n - k, 2))):
+            out[q] += sign * b
+    return out

@@ -27,6 +27,7 @@ from fbblat.labeling import rank, unrank
 from fbblat.poset import (Poset, classify, is_dismantlable, is_lattice,
                           is_rc_lattice, nullity, remove_element)
 
+import oracles
 from conftest import GOLDEN_DIR
 
 
@@ -179,3 +180,15 @@ def test_c10_golden_regression(capsys):
                          "c1", "c3", "c4", "c5"}
         dot = (GOLDEN_DIR / "graph_n4_r1345.dot").read_text()
         assert all(f'[label="e{k}"]' in dot for k in (1, 3, 4, 5))
+
+
+def test_c11_triangle_agreement_to_64():
+    with criterion(11, "f = d = inclusion-exclusion on every in-band cell, n<=64",
+                   budget=10):
+        cells = 0
+        for n in range(65):
+            oracle = oracles.d_row_by_inclusion_exclusion(n)
+            for q in range((n + 1) // 2, comb(n, 2) + 1):
+                assert count_f(n, q) == count_d(n, q) == oracle[q], (n, q)
+                cells += 1
+        assert cells == 42689

@@ -56,14 +56,24 @@ def test_counts_match_subset_scan():
 
 def test_recurrence_agrees_with_oracle_up_to_20():
     for n in range(21):
+        rowwise = oracles.d_row_by_inclusion_exclusion(n) + [0]
         for q in range(comb(n, 2) + 2):
-            assert count_d(n, q) == count_d_oracle(n, q), (n, q)
+            assert count_d(n, q) == count_d_oracle(n, q) == rowwise[q], (n, q)
 
 
 def test_equivalence_of_recurrences_up_to_14():
     for n in range(2, 15):
         for l in range(comb(n, 2) + 2):
             assert count_f(n, l) == count_d(n, l), (n, l)
+
+
+def test_polynomial_fill_matches_triple_sum():
+    rows = oracles.f_rows_by_triple_sum(24)
+    for n, row in enumerate(rows):
+        assert len(row) == comb(n, 2) + 1
+        for l in range(comb(n, 2) + 2):
+            want = row[l] if l < len(row) else 0
+            assert count_f(n, l) == want, (n, l)
 
 
 def test_band_law():
@@ -136,7 +146,8 @@ def test_emit_triangle_zero():
 
 
 def test_triangles_of_both_kinds_agree():
-    assert (emit_triangle("d", 8, "json") == emit_triangle("f", 8, "json"))
+    for fmt in ("csv", "json"):
+        assert emit_triangle("d", 64, fmt) == emit_triangle("f", 64, fmt), fmt
 
 
 def test_emit_triangle_rejects_bad_input():
@@ -228,6 +239,7 @@ def test_concurrent_fills_agree_with_oracle(monkeypatch):
     expected = [count_d_oracle(n, q) for q in range(comb(n, 2) + 1)]
     monkeypatch.setattr(counting, "_d_rows", [[1], [0]])
     monkeypatch.setattr(counting, "_f_rows", [[1], [0]])
+    monkeypatch.setattr(counting, "_p_rows", [[1], [0, 0]])
     results = [None] * 8
     start = threading.Barrier(len(results))
 
@@ -253,3 +265,12 @@ def test_concurrent_fills_agree_with_oracle(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     for slot, got in enumerate(results):
         assert got == (expected, expected), f"thread {slot}: {got!r:.200}"
+
+
+def test_fill_refuses_out_of_step_tables(monkeypatch):
+    # a row of f must never be built from the (1+y)^i f row of another n
+    count_f(6, 0)
+    monkeypatch.setattr(counting, "_f_rows", [[1], [0]])
+    with pytest.raises(ArithmeticError, match="rows of f"):
+        count_f(6, 5)
+    assert counting._f_rows == [[1], [0]]
