@@ -95,74 +95,41 @@ def induced_nullity_parts(n, covers, mask):
 
 
 def _least_of(subset, up, down):
-    """Index of the least element of nonempty ``subset``, or -1 if none."""
+    """Index of the least element of ``subset``, or -1 if it has none (the
+    empty subset included).  ``_least_of(subset, down, up)`` reads the same
+    masks upside down and gives the greatest element."""
     rest = subset
-    u = -1
     while rest:
         low = rest & -rest
         u = low.bit_length() - 1
         if not down[u] & subset:  # minimal element (lowest-index one)
-            break
+            # least iff every element of the subset sits above u
+            return -1 if subset & ~(up[u] | low) else u
         rest ^= low
-    # least iff every element of the subset sits above u
-    if subset & ~(up[u] | (1 << u)):
-        return -1
-    return u
-
-
-def _greatest_of(subset, up, down):
-    """Index of the greatest element of nonempty ``subset``, or -1 if none."""
-    rest = subset
-    u = -1
-    while rest:
-        low = rest & -rest
-        u = low.bit_length() - 1
-        if not up[u] & subset:
-            break
-        rest ^= low
-    if subset & ~(down[u] | (1 << u)):
-        return -1
-    return u
-
-
-def is_lattice(n, up, down):
-    """True iff every element pair has a unique join and a unique meet.
-
-    A finite poset with a single minimal element (its bottom) is a lattice
-    iff every pair has a join (Davey & Priestley): the meet of a pair is then
-    the join of its nonempty set of lower bounds.  Comparable pairs always
-    have a join, so only incomparable pairs are scanned, and no meet is;
-    each distinct set of common upper bounds is checked once.
-    """
-    if sum(1 for d in down if not d) > 1:
-        return False
-    full = (1 << n) - 1
-    joined = set()
-    for i in range(n):
-        inc = (full ^ ((2 << i) - 1)) & ~(up[i] | down[i])  # j > i only
-        while inc:
-            low = inc & -inc
-            m = up[i] & up[low.bit_length() - 1]
-            if m not in joined:
-                if not m or _least_of(m, up, down) < 0:
-                    return False
-                joined.add(m)
-            inc ^= low
-    return True
+    return -1
 
 
 def reducibility(n, up, down):
-    """(join_reducible, meet_reducible) masks, computed definitionally:
-    x is join-reducible iff x = y v z for some y, z both distinct from x.
+    """(is_lattice, join_reducible, meet_reducible) from one scan of the
+    incomparable pairs.
 
-    Only incomparable pairs can produce such an x, so those are scanned,
-    and each distinct set of common upper (lower) bounds is resolved to its
-    least (greatest) element once.
+    x is join-reducible iff x = y v z for some y, z both distinct from x.
+    Comparable pairs have one of themselves as join and meet, so only
+    incomparable pairs can produce such an x, and for those the common upper
+    bounds are ``up[i] & up[j]`` (neither i nor j is among them).  Each
+    distinct set of common upper (lower) bounds is resolved to its least
+    (greatest) element once.
+
+    A finite poset with a single minimal element (its bottom) is a lattice
+    iff every pair has a join (Davey & Priestley): the meet of a pair is then
+    the join of its nonempty set of lower bounds.  So the poset is a lattice
+    iff it has one minimal element and every upper-bound set the scan meets
+    has a least element.  The scan runs to the end on non-lattices too, so
+    the masks hold for every poset.
     """
+    lattice = sum(1 for d in down if not d) <= 1
     jr = 0
     mr = 0
-    upr = [up[i] | (1 << i) for i in range(n)]
-    downr = [down[i] | (1 << i) for i in range(n)]
     uppers = set()
     lowers = set()
     full = (1 << n) - 1
@@ -172,19 +139,21 @@ def reducibility(n, up, down):
             low = inc & -inc
             j = low.bit_length() - 1
             inc ^= low
-            m = upr[i] & upr[j]
-            if m and m not in uppers:
+            m = up[i] & up[j]
+            if m not in uppers:
                 uppers.add(m)
                 u = _least_of(m, up, down)
-                if u >= 0:
+                if u < 0:
+                    lattice = False
+                else:
                     jr |= 1 << u
-            m = downr[i] & downr[j]
-            if m and m not in lowers:
+            m = down[i] & down[j]
+            if m not in lowers:
                 lowers.add(m)
-                u = _greatest_of(m, up, down)
+                u = _least_of(m, down, up)
                 if u >= 0:
                     mr |= 1 << u
-    return jr, mr
+    return lattice, jr, mr
 
 
 def _cover_masks(n, covers):

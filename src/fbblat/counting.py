@@ -149,6 +149,15 @@ def _row_start(n):
     return (n + 1) // 2  # == ceil(n/2)
 
 
+def _band_rows(kind, max_n):
+    """Rows n = 0..max_n of the triangle's in-band counts, q = ceil(n/2)..C(n,2)."""
+    fn = _counter(kind)
+    if not 0 <= max_n <= TRIANGLE_MAX_N:
+        raise ValueError(f"max_n must be within 0..{TRIANGLE_MAX_N}")
+    return [[fn(n, q) for q in range(_row_start(n), comb(n, 2) + 1)]
+            for n in range(max_n + 1)]
+
+
 @dataclass(frozen=True)
 class CountTable:
     """In-band cells of one triangle, (n, q) -> exact count."""
@@ -159,13 +168,9 @@ class CountTable:
 
     @classmethod
     def build(cls, kind, max_n):
-        fn = _counter(kind)
-        if not 0 <= max_n <= TRIANGLE_MAX_N:
-            raise ValueError(f"max_n must be within 0..{TRIANGLE_MAX_N}")
-        cells = {}
-        for n in range(max_n + 1):
-            for q in range(_row_start(n), comb(n, 2) + 1):
-                cells[(n, q)] = fn(n, q)
+        cells = {(n, q): v
+                 for n, row in enumerate(_band_rows(kind, max_n))
+                 for q, v in enumerate(row, _row_start(n))}
         return cls(kind, max_n, cells)
 
     def rows(self):
@@ -180,7 +185,7 @@ def emit_triangle(kind, max_n, fmt="csv"):
     ``csv`` emits one `n,q,value` line per cell under a header; ``json``
     emits an array of row arrays (values only).
     """
-    rows = CountTable.build(kind, max_n).rows()
+    rows = _band_rows(kind, max_n)
     if fmt == "csv":
         lines = ["n,q,value"]
         for n, row in enumerate(rows):

@@ -32,7 +32,7 @@ from .errors import (
 # ``rank`` is unused here but stays importable as ``fbb.rank``, a binding
 # the benchmark's tracer tests rebind and check.
 from .labeling import PairChain, rank, unrank  # noqa: F401
-from .poset import Poset, is_lattice
+from .poset import Poset, is_lattice, is_rc_lattice
 
 
 @dataclass(frozen=True)
@@ -188,8 +188,6 @@ def is_basic_block_universal(p):
 
 def is_fundamental_basic_block(f):
     """RC-lattice + basic block + pairwise distinct adjunct pairs."""
-    from .poset import is_rc_lattice
-
     p = f.poset
     if not is_lattice(p):
         return False

@@ -86,22 +86,21 @@ class LabeledGraph:
         return f"{type(self).__name__}(n={self.n}, edges={list(self.edges)})"
 
 
+def _oriented(arcs):
+    """The arcs, lazily, raising on the first one not oriented low-to-high."""
+    for i, j in arcs:
+        if not i < j:
+            raise OrientationError(f"arc ({i}, {j}) is not oriented low-to-high")
+        yield i, j
+
+
 class DirectedLabeledGraph(LabeledGraph):
     """Subgraph of K_n with every edge oriented low-to-high."""
 
     __slots__ = ()
 
     def __init__(self, n, arcs=()):
-        if n < 1:
-            raise ValueError(f"need n >= 1, got {n}")
-        mask = 0
-        for i, j in arcs:
-            if not i < j:
-                raise OrientationError(
-                    f"arc ({i}, {j}) is not oriented low-to-high")
-            mask |= 1 << (rank(n, i, j) - 1)
-        self.n = n
-        self.mask = mask
+        super().__init__(n, _oriented(arcs))
 
     @property
     def arcs(self):

@@ -3,7 +3,10 @@
 The cover list is the stored truth; comparability, lattice-ness, nullity,
 reducibility and dismantlability are all derived from it on demand.  The
 constructor rejects transitively implied covers, so the stored index pairs
-are exactly the cover relation and the kernels take them as given.  Elements
+are exactly the cover relation and the kernels take them as given.
+Lattice-ness and reducibility come from one kernel scan per poset, cached
+as element masks; the predicates decide on those masks, and only
+``classify`` turns them into element names.  Elements
 carry canonical string names ("u3", "x2", "c5", ...) and two posets compare
 equal when they have the same names and the same cover relation on names --
 the structural stand-in for isomorphism of canonically named objects.
@@ -37,7 +40,8 @@ class ReducibilityReport:
     elements (computed from the definition: x = y v z, resp. y ^ z, with both
     arguments distinct from x); ``doubly_irreducible`` follows the poset-level
     definition, at most one upper and at most one lower cover.  On lattices
-    the two routes agree and ``classify`` cross-checks them.
+    the two routes agree, and they are cross-checked before any result is
+    read.
     """
 
     reducible: frozenset
@@ -226,51 +230,56 @@ def nullity(p):
     return p._cache["nullity"]
 
 
-def is_lattice(p):
-    """True iff every pair of elements has a unique meet and a unique join."""
-    if "lattice" not in p._cache:
-        p._cache["lattice"] = _kernel.is_lattice(len(p), p._up, p._down)
-    return p._cache["lattice"]
-
-
-def classify(p):
-    """Reducibility classification of every element.
+def _order_scan(p):
+    """(lattice, join_reducible, meet_reducible, doubly_irreducible) masks of
+    ``p``, from one kernel scan and cached on the poset.
 
     Join/meet reducibility comes from the definitional route (existence of a
-    join/meet of two other elements); for lattices the result is cross-checked
+    join/meet of two other elements).  For lattices it is cross-checked
     against the cover-count criterion (>= 2 lower covers iff join-reducible,
-    dually for meets) and a mismatch raises, since it would falsify the
-    equivalence the rest of the package relies on.
+    dually for meets) before anything reads it, and a mismatch raises, since
+    it would falsify the equivalence the rest of the package relies on.
     """
-    if "classify" in p._cache:
-        return p._cache["classify"]
-    n = len(p)
-    jr_mask, mr_mask = _kernel.reducibility(n, p._up, p._down)
-    lower = [0] * n
-    upper = [0] * n
-    for a, b in p._covers:
-        upper[a] += 1
-        lower[b] += 1
-    if is_lattice(p):
-        jr_covers = sum(1 << i for i in range(n) if lower[i] >= 2)
-        mr_covers = sum(1 << i for i in range(n) if upper[i] >= 2)
-        if jr_covers != jr_mask or mr_covers != mr_mask:
+    scan = p._cache.get("scan")
+    if scan is None:
+        n = len(p)
+        lattice, jr, mr = _kernel.reducibility(n, p._up, p._down)
+        lower, upper = _kernel._cover_masks(n, p._covers)
+        jr_covers = mr_covers = 0
+        for i in range(n):
+            if lower[i].bit_count() > 1:
+                jr_covers |= 1 << i
+            if upper[i].bit_count() > 1:
+                mr_covers |= 1 << i
+        if lattice and (jr_covers != jr or mr_covers != mr):
             raise RuntimeError(
                 "internal error: definitional and cover-count reducibility "
                 f"disagree on {p!r}")
-    names = p._names
-    report = ReducibilityReport(
-        reducible=frozenset(names[i] for i in range(n)
-                            if (jr_mask | mr_mask) >> i & 1),
-        join_irreducible=frozenset(names[i] for i in range(n)
-                                   if not jr_mask >> i & 1),
-        meet_irreducible=frozenset(names[i] for i in range(n)
-                                   if not mr_mask >> i & 1),
-        doubly_irreducible=frozenset(names[i] for i in range(n)
-                                     if lower[i] <= 1 and upper[i] <= 1),
+        doubly = ((1 << n) - 1) & ~(jr_covers | mr_covers)
+        scan = p._cache["scan"] = (lattice, jr, mr, doubly)
+    return scan
+
+
+def is_lattice(p):
+    """True iff every pair of elements has a unique meet and a unique join."""
+    return _order_scan(p)[0]
+
+
+def _named(p, mask):
+    return frozenset(name for i, name in enumerate(p._names) if mask >> i & 1)
+
+
+def classify(p):
+    """Reducibility classification of every element, as name sets; see
+    ``_order_scan`` for how the masks behind it are computed and checked."""
+    _, jr, mr, doubly = _order_scan(p)
+    full = (1 << len(p)) - 1
+    return ReducibilityReport(
+        reducible=_named(p, jr | mr),
+        join_irreducible=_named(p, full & ~jr),
+        meet_irreducible=_named(p, full & ~mr),
+        doubly_irreducible=_named(p, doubly),
     )
-    p._cache["classify"] = report
-    return report
 
 
 def remove_element(p, name):
@@ -302,14 +311,11 @@ def is_dismantlable(p):
 
 def is_rc_lattice(p):
     """True iff all reducible elements are pairwise comparable."""
-    if not is_lattice(p):
+    lattice, jr, mr, _ = _order_scan(p)
+    if not lattice:
         raise NotALatticeError("RC is a property of lattices")
-    red = classify(p).reducible
-    mask = 0
-    for name in red:
-        mask |= 1 << p._index[name]
-    for name in red:
-        i = p._index[name]
-        if mask & ~(p._up[i] | p._down[i] | (1 << i)):
+    red = jr | mr
+    for i in _kernel._bits(red):
+        if red & ~(p._up[i] | p._down[i] | (1 << i)):
             return False
     return True

@@ -1,7 +1,8 @@
 """Serializers for posets, digraphs and verification reports.
 
 Formats are byte-deterministic: element order comes from the poset itself,
-covers and arcs are emitted sorted, and JSON uses a fixed layout.  DOT output
+covers are emitted sorted, arcs in ascending label order (which is also
+dictionary order of the pairs), and JSON uses a fixed layout.  DOT output
 is text only; rendering is the caller's toolchain.
 
 JSON schemas:
@@ -109,11 +110,9 @@ def poset_to_text(p):
 
 
 def graph_json_obj(dg):
-    from .labeling import rank
-
     return {
         "n": dg.n,
-        "arcs": sorted([i, j, rank(dg.n, i, j)] for i, j in dg.arcs),
+        "arcs": [[i, j, k] for (i, j), k in zip(dg.arcs, dg.ranks)],
     }
 
 
@@ -122,24 +121,19 @@ def graph_to_json(dg):
 
 
 def graph_to_dot(dg, name="graph_of"):
-    from .labeling import rank
-
     lines = [f"digraph {name} {{"]
     for v in range(1, dg.n + 1):
         lines.append(f'  "v{v}";')
-    for i, j in sorted(dg.arcs, key=lambda a: rank(dg.n, a[0], a[1])):
-        lines.append(f'  "v{i}" -> "v{j}" [label="e{rank(dg.n, i, j)}"];')
+    for (i, j), k in zip(dg.arcs, dg.ranks):
+        lines.append(f'  "v{i}" -> "v{j}" [label="e{k}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def graph_to_text(dg):
-    from .labeling import rank
-
-    arcs = sorted(dg.arcs, key=lambda a: rank(dg.n, a[0], a[1]))
-    lines = [f"digraph on vertices 1..{dg.n}, {len(arcs)} arcs"]
-    for i, j in arcs:
-        lines.append(f"  e{rank(dg.n, i, j)}: ({i}, {j})")
+    lines = [f"digraph on vertices 1..{dg.n}, {len(dg)} arcs"]
+    for (i, j), k in zip(dg.arcs, dg.ranks):
+        lines.append(f"  e{k}: ({i}, {j})")
     return "\n".join(lines) + "\n"
 
 

@@ -95,6 +95,15 @@ def reducibility(names, covers):
     return join_red, meet_red
 
 
+def is_rc_lattice(names, covers):
+    """RC reading of a lattice: its join- and meet-reducible elements, by
+    ``reducibility``, are pairwise comparable."""
+    join_red, meet_red = reducibility(names, covers)
+    order = order_pairs(names, covers)
+    return all((x, y) in order or (y, x) in order
+               for x, y in itertools.combinations(sorted(join_red | meet_red), 2))
+
+
 def doubly_irreducible(names, covers):
     """Elements with at most one upper and at most one lower cover."""
     uppers = {x: 0 for x in names}

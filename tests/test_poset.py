@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fbblat import _kernel
 from fbblat.errors import MalformedPosetError, NotALatticeError
 from fbblat.fbb import build_cf
 from fbblat.poset import (Poset, classify, cover_graph, dismantling_order,
@@ -197,6 +198,35 @@ def test_classify_definitional_equals_cover_counts_on_lattices():
         assert report.reducible == join_red | meet_red
         assert report.join_irreducible == set(p.names) - join_red
         assert report.meet_irreducible == set(p.names) - meet_red
+
+
+def test_cross_check_failure_raises_before_any_predicate_answers(monkeypatch):
+    real = _kernel.reducibility
+
+    def drops_join_reducibles(n, up, down):
+        lattice, _, mr = real(n, up, down)
+        return lattice, 0, mr
+
+    monkeypatch.setattr(_kernel, "reducibility", drops_join_reducibles)
+    for check in (classify, is_lattice, is_rc_lattice):
+        with pytest.raises(RuntimeError, match="disagree"):
+            check(diamond_poset())
+
+
+def test_one_order_scan_per_poset(monkeypatch):
+    calls = []
+    real = _kernel.reducibility
+
+    def counted(n, up, down):
+        calls.append(n)
+        return real(n, up, down)
+
+    monkeypatch.setattr(_kernel, "reducibility", counted)
+    p = build_cf(4).poset
+    assert is_lattice(p) and is_rc_lattice(p) and is_dismantlable(p)
+    assert len(classify(p).reducible) == 4
+    assert classify(p) == classify(p)
+    assert len(calls) == 1
 
 
 # -- removal -----------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The kernels' lattice, reducibility, nullity, basic-block and dismantling
 predicates and their unisolated-subgraph enumeration against the slow
-references in ``oracles``.
+references in ``oracles``; on lattices also ``classify`` and
+``is_rc_lattice``, which decide on the kernel's reducibility masks.
 
 Every block on at most four reducibles, each block's single-element
 removals, random posets of up to nine elements, non-lattices included, a
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from fbblat import _kernel
 from fbblat.fbb import build_cf, build_fbb
-from fbblat.poset import is_lattice, nullity
+from fbblat.poset import Poset, classify, is_lattice, is_rc_lattice, nullity
 
 import oracles
 
@@ -31,10 +32,19 @@ def _assert_matches_oracles(label, names, covers):
     pairs = sorted((index[a], index[b]) for a, b in covers)
     up, down = _kernel.closure(n, pairs)
     where = f"{label}: {n} elements, covers {sorted(covers)}"
-    assert _kernel.is_lattice(n, up, down) == oracles.is_lattice(names, covers), where
-    jr, mr = _kernel.reducibility(n, up, down)
-    assert ((_names_of(jr, names), _names_of(mr, names))
-            == oracles.reducibility(names, covers)), where
+    lattice, jr, mr = _kernel.reducibility(n, up, down)
+    assert lattice == oracles.is_lattice(names, covers), where
+    join_red, meet_red = oracles.reducibility(names, covers)
+    assert (_names_of(jr, names), _names_of(mr, names)) == (join_red, meet_red), where
+    if lattice:
+        p = Poset(names, covers)
+        report = classify(p)
+        assert ((report.reducible, report.join_irreducible,
+                 report.meet_irreducible, report.doubly_irreducible)
+                == (join_red | meet_red, set(names) - join_red,
+                    set(names) - meet_red,
+                    oracles.doubly_irreducible(names, covers))), where
+        assert is_rc_lattice(p) == oracles.is_rc_lattice(names, covers), where
     edges, comps = _kernel.induced_nullity_parts(n, pairs, (1 << n) - 1)
     assert edges - n + comps == oracles.nullity(names, covers), where
     assert (_kernel.basic_block_universal(n, up, down, pairs)
