@@ -27,18 +27,21 @@ def _bits(mask):
 def closure(n, covers):
     """Strict reachability masks (up, down) of an acyclic cover list.
 
+    ``down`` is pushed along each cover as Kahn's topological sort reaches
+    its lower end, and ``up`` is pulled back in reverse topological order.
     Raises ValueError if the cover relation has a cycle.
     """
     succ = [[] for _ in range(n)]
-    pred = [[] for _ in range(n)]
     indeg = [0] * n
     for lo, hi in covers:
         succ[lo].append(hi)
-        pred[hi].append(lo)
         indeg[hi] += 1
+    down = [0] * n
     topo = [v for v in range(n) if indeg[v] == 0]
     for v in topo:  # grows while iterating
+        below = down[v] | (1 << v)
         for w in succ[v]:
+            down[w] |= below
             indeg[w] -= 1
             if indeg[w] == 0:
                 topo.append(w)
@@ -50,12 +53,6 @@ def closure(n, covers):
         for w in succ[v]:
             acc |= up[w] | (1 << w)
         up[v] = acc
-    down = [0] * n
-    for v in topo:
-        acc = 0
-        for w in pred[v]:
-            acc |= down[w] | (1 << w)
-        down[v] = acc
     return up, down
 
 
@@ -71,27 +68,23 @@ def covers_within(n, up, down, mask):
     return out
 
 
-def induced_nullity_parts(n, covers, mask):
-    """(cover-edge count, component count) of the subposet induced on mask,
-    given its cover pairs ``covers`` (for the whole poset, ``Poset._covers``;
-    for a proper subset, ``covers_within``)."""
-    adj = [0] * n
-    for x, y in covers:
-        adj[x] |= 1 << y
-        adj[y] |= 1 << x
+def induced_nullity_parts(n, lower, upper):
+    """(cover-edge count, component count) of the cover graph whose
+    per-element lower and upper cover masks are ``lower`` and ``upper``."""
     comps = 0
-    rest = mask
+    rest = (1 << n) - 1
     while rest:  # flood one component from the lowest element left
         frontier = seen = rest & -rest
         while frontier:
             low = frontier & -frontier
             frontier ^= low
-            new = adj[low.bit_length() - 1] & ~seen
+            v = low.bit_length() - 1
+            new = (lower[v] | upper[v]) & ~seen
             seen |= new
             frontier |= new
         rest &= ~seen
         comps += 1
-    return len(covers), comps
+    return sum(m.bit_count() for m in upper), comps
 
 
 def _least_of(subset, up, down):
@@ -156,24 +149,14 @@ def reducibility(n, up, down):
     return lattice, jr, mr
 
 
-def _cover_masks(n, covers):
-    """Per-element (lower, upper) cover masks from the cover pairs."""
-    lower = [0] * n
-    upper = [0] * n
-    for x, y in covers:
-        upper[x] |= 1 << y
-        lower[y] |= 1 << x
-    return lower, upper
-
-
 def _at_most_one(mask):
     return not mask & (mask - 1)
 
 
-def basic_block_universal(n, up, down, covers):
+def basic_block_universal(n, up, down, lower, upper):
     """One element, or no doubly irreducible element, or every doubly
     irreducible element's removal drops the nullity by exactly one;
-    ``covers`` is the poset's cover relation as index pairs.
+    ``lower`` and ``upper`` are the per-element cover masks.
 
     Each removal is decided locally.  Removing z deletes its one or two
     cover edges and can create only the cover (a, b), where a is z's lower
@@ -183,7 +166,6 @@ def basic_block_universal(n, up, down, covers):
     """
     if n == 1:
         return True
-    lower, upper = _cover_masks(n, covers)
     for z in range(n):
         lo, hi = lower[z], upper[z]
         if not (_at_most_one(lo) and _at_most_one(hi)):
@@ -197,18 +179,19 @@ def basic_block_universal(n, up, down, covers):
     return True
 
 
-def dismantling_order(n, up, down, covers):
+def dismantling_order(n, up, down, lower, upper):
     """Greedy removal order of doubly irreducible elements down to a
     singleton, lowest index first, or None when the process gets stuck;
-    ``covers`` is the poset's cover relation as index pairs.
+    ``lower`` and ``upper`` are the per-element cover masks.
 
-    Cover masks are built once and updated per removal: removing z from
+    Copies of the cover masks are updated per removal: removing z from
     between its covers a and b deletes (a, z) and (z, b) and adds (a, b) when
     nothing else remaining lies between them.  No element's cover count
     grows, so a doubly irreducible element stays one until it is removed.
     """
     mask = (1 << n) - 1
-    lower, upper = _cover_masks(n, covers)
+    lower = list(lower)
+    upper = list(upper)
     irr = 0
     for v in range(n):
         if _at_most_one(lower[v]) and _at_most_one(upper[v]):

@@ -85,8 +85,7 @@ def _cmd_graph_of(args):
 
 
 def _cmd_count(args):
-    fn = counting.count_d if args.kind == "d" else counting.count_f
-    print(fn(args.n, args.q))
+    print(counting._counter(args.kind)(args.n, args.q))
     return 0
 
 

@@ -91,7 +91,7 @@ def adjunct(l1, l2, a, b):
     if a == b or not l1.lt(a, b):
         raise InvalidAdjunctPairError(
             f"{a!r} < {b!r} must hold in the base lattice")
-    if (a, b) in set(l1.covers):
+    if l1._upper[l1.index_of(a)] >> l1.index_of(b) & 1:
         raise InvalidAdjunctPairError(
             f"({a!r}, {b!r}) is a covering pair; nothing fits strictly between")
     bottom = _extreme(l2, l2._down)
@@ -182,7 +182,7 @@ def is_basic_block_universal(p):
     recounting the nullity; the result is cached on the poset."""
     if "basic_block" not in p._cache:
         p._cache["basic_block"] = _kernel.basic_block_universal(
-            len(p), p._up, p._down, p._covers)
+            len(p), p._up, p._down, p._lower, p._upper)
     return p._cache["basic_block"]
 
 
@@ -254,15 +254,13 @@ def _adjunct_terms(f):
     expected = (links + [(lo, c) for lo, c, _ in glued]
                 + [(c, hi) for _, c, hi in glued])
     if sorted(expected) != list(p._covers):
-        covers = set(p._covers)
         for lo, hi in links:
-            if (lo, hi) not in covers:
+            if not p._upper[lo] >> hi & 1:
                 raise ExtractionUnsupportedError(
                     f"base chain is broken between {p.name_of(lo)!r} "
                     f"and {p.name_of(hi)!r}")
         for (k, (i, j)), (lo, c, hi) in zip(terms, glued):
-            if ({a for a, b in covers if b == c} != {lo}
-                    or {b for a, b in covers if a == c} != {hi}):
+            if p._lower[c] != 1 << lo or p._upper[c] != 1 << hi:
                 raise ExtractionUnsupportedError(
                     f"'c{k}' is not glued between u{i} and u{j}")
     return tuple(chain), terms

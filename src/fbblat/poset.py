@@ -3,7 +3,9 @@
 The cover list is the stored truth; comparability, lattice-ness, nullity,
 reducibility and dismantlability are all derived from it on demand.  The
 constructor rejects transitively implied covers, so the stored index pairs
-are exactly the cover relation and the kernels take them as given.
+are exactly the cover relation.  It stores that relation twice: as the
+sorted index pairs, which equality and rendering read, and as per-element
+lower and upper cover masks, built once, which the kernels read.
 Lattice-ness and reducibility come from one kernel scan per poset, cached
 as element masks; the predicates decide on those masks, and only
 ``classify`` turns them into element names.  Elements
@@ -56,7 +58,8 @@ class _IndexPairs(tuple):
 
 
 class Poset:
-    __slots__ = ("_names", "_index", "_covers", "_up", "_down", "_cache")
+    __slots__ = ("_names", "_index", "_covers", "_up", "_down", "_lower",
+                 "_upper", "_cache")
 
     def __init__(self, names, covers):
         names = tuple(names)
@@ -88,15 +91,21 @@ class Poset:
             up, down = _kernel.closure(size, pairs)
         except ValueError as exc:
             raise MalformedPosetError(str(exc)) from None
+        lower = [0] * size
+        upper = [0] * size
         for a, b in pairs:
             if up[a] & down[b]:
                 raise MalformedPosetError(
                     f"cover {names[a]!r} -> {names[b]!r} is implied by transitivity")
+            upper[a] |= 1 << b
+            lower[b] |= 1 << a
         self._names = names
         self._index = index
         self._covers = pairs
         self._up = tuple(up)
         self._down = tuple(down)
+        self._lower = tuple(lower)
+        self._upper = tuple(upper)
         self._cache = {}
 
     @classmethod
@@ -162,12 +171,12 @@ class Poset:
         return a == b or self.lt(a, b) or self.lt(b, a)
 
     def upper_covers(self, name):
-        i = self._index[name]
-        return tuple(self._names[b] for a, b in self._covers if a == i)
+        return tuple(self._names[b]
+                     for b in _kernel._bits(self._upper[self._index[name]]))
 
     def lower_covers(self, name):
-        i = self._index[name]
-        return tuple(self._names[a] for a, b in self._covers if b == i)
+        return tuple(self._names[a]
+                     for a in _kernel._bits(self._lower[self._index[name]]))
 
     def restrict(self, keep):
         """Subposet induced on the named subset, covers recomputed."""
@@ -216,16 +225,14 @@ def transitive_order(p):
 
 def cover_graph(p):
     """The poset's covers as a plain graph, with its component count."""
-    full = (1 << len(p)) - 1
-    _, comps = _kernel.induced_nullity_parts(len(p), p._covers, full)
+    _, comps = _kernel.induced_nullity_parts(len(p), p._lower, p._upper)
     return CoverGraph(p.names, p.covers, comps)
 
 
 def nullity(p):
     """Cycle rank |E| - |V| + c of the cover graph."""
     if "nullity" not in p._cache:
-        edges, comps = _kernel.induced_nullity_parts(
-            len(p), p._covers, (1 << len(p)) - 1)
+        edges, comps = _kernel.induced_nullity_parts(len(p), p._lower, p._upper)
         p._cache["nullity"] = edges - len(p) + comps
     return p._cache["nullity"]
 
@@ -244,7 +251,7 @@ def _order_scan(p):
     if scan is None:
         n = len(p)
         lattice, jr, mr = _kernel.reducibility(n, p._up, p._down)
-        lower, upper = _kernel._cover_masks(n, p._covers)
+        lower, upper = p._lower, p._upper
         jr_covers = mr_covers = 0
         for i in range(n):
             if lower[i].bit_count() > 1:
@@ -299,7 +306,8 @@ def dismantling_order(p):
     """
     if not is_lattice(p):
         raise NotALatticeError("dismantlability is defined for lattices")
-    order = _kernel.dismantling_order(len(p), p._up, p._down, p._covers)
+    order = _kernel.dismantling_order(len(p), p._up, p._down, p._lower,
+                                      p._upper)
     if order is None:
         return None
     return tuple(p._names[i] for i in order)

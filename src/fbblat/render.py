@@ -1,7 +1,7 @@
 """Serializers for posets, digraphs and verification reports.
 
 Formats are byte-deterministic: element order comes from the poset itself,
-covers are emitted sorted, arcs in ascending label order (which is also
+covers in the poset's stored order (sorted by element index), arcs in ascending label order (which is also
 dictionary order of the pairs), and JSON uses a fixed layout.  DOT output
 is text only; rendering is the caller's toolchain.
 
@@ -77,7 +77,7 @@ def _chain_levels(p):
 def poset_json_obj(p):
     return {
         "elements": [{"id": i, "name": name} for i, name in enumerate(p.names)],
-        "covers": sorted([p.index_of(lo), p.index_of(hi)] for lo, hi in p.covers),
+        "covers": [list(pair) for pair in p._covers],
     }
 
 
@@ -94,17 +94,18 @@ def poset_to_dot(p, name="poset"):
         if levels is not None:
             attrs += f' rank="{levels[element]}"'
         lines.append(f'  "{element}" [{attrs}];')
-    for lo, hi in sorted(p.covers, key=lambda c: (p.index_of(c[0]), p.index_of(c[1]))):
+    for lo, hi in p.covers:
         lines.append(f'  "{lo}" -> "{hi}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def poset_to_text(p):
-    lines = [f"poset: {len(p)} elements, {len(p.covers)} covers",
+    covers = p.covers
+    lines = [f"poset: {len(p)} elements, {len(covers)} covers",
              "elements: " + " ".join(p.names),
              "covers:"]
-    for lo, hi in sorted(p.covers, key=lambda c: (p.index_of(c[0]), p.index_of(c[1]))):
+    for lo, hi in covers:
         lines.append(f"  {lo} < {hi}")
     return "\n".join(lines) + "\n"
 

@@ -236,9 +236,9 @@ def test_basic_block_result_is_cached(monkeypatch):
     calls = []
     real = _kernel.basic_block_universal
 
-    def counted(n, up, down, covers):
+    def counted(n, up, down, lower, upper):
         calls.append(n)
-        return real(n, up, down, covers)
+        return real(n, up, down, lower, upper)
 
     monkeypatch.setattr(_kernel, "basic_block_universal", counted)
     block = build_fbb(4, {1, 3, 4, 5})

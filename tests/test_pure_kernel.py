@@ -1,7 +1,9 @@
 """The kernels' lattice, reducibility, nullity, basic-block and dismantling
 predicates and their unisolated-subgraph enumeration against the slow
 references in ``oracles``; on lattices also ``classify`` and
-``is_rc_lattice``, which decide on the kernel's reducibility masks.
+``is_rc_lattice``, which decide on the kernel's reducibility masks.  The
+kernels read the cover masks a ``Poset`` stores, so those are checked
+against the input covers on every poset too.
 
 Every block on at most four reducibles, each block's single-element
 removals, random posets of up to nine elements, non-lattices included, a
@@ -16,7 +18,8 @@ from hypothesis import strategies as st
 
 from fbblat import _kernel
 from fbblat.fbb import build_cf, build_fbb
-from fbblat.poset import Poset, classify, is_lattice, is_rc_lattice, nullity
+from fbblat.poset import (Poset, classify, cover_graph, is_lattice,
+                          is_rc_lattice, nullity)
 
 import oracles
 
@@ -32,12 +35,18 @@ def _assert_matches_oracles(label, names, covers):
     pairs = sorted((index[a], index[b]) for a, b in covers)
     up, down = _kernel.closure(n, pairs)
     where = f"{label}: {n} elements, covers {sorted(covers)}"
+    p = Poset(names, covers)
+    assert p._covers == tuple(pairs), where
+    for i, x in enumerate(names):  # cover sets, in element index order
+        assert p.upper_covers(x) == tuple(names[b] for a, b in pairs if a == i), where
+        assert p.lower_covers(x) == tuple(names[a] for a, b in pairs if b == i), where
+    assert cover_graph(p).components == oracles.component_count(names, covers), where
+    lower, upper = p._lower, p._upper
     lattice, jr, mr = _kernel.reducibility(n, up, down)
     assert lattice == oracles.is_lattice(names, covers), where
     join_red, meet_red = oracles.reducibility(names, covers)
     assert (_names_of(jr, names), _names_of(mr, names)) == (join_red, meet_red), where
     if lattice:
-        p = Poset(names, covers)
         report = classify(p)
         assert ((report.reducible, report.join_irreducible,
                  report.meet_irreducible, report.doubly_irreducible)
@@ -45,11 +54,11 @@ def _assert_matches_oracles(label, names, covers):
                     set(names) - meet_red,
                     oracles.doubly_irreducible(names, covers))), where
         assert is_rc_lattice(p) == oracles.is_rc_lattice(names, covers), where
-    edges, comps = _kernel.induced_nullity_parts(n, pairs, (1 << n) - 1)
+    edges, comps = _kernel.induced_nullity_parts(n, lower, upper)
     assert edges - n + comps == oracles.nullity(names, covers), where
-    assert (_kernel.basic_block_universal(n, up, down, pairs)
+    assert (_kernel.basic_block_universal(n, up, down, lower, upper)
             == oracles.basic_block_by_removal(names, covers)), where
-    order = _kernel.dismantling_order(n, up, down, pairs)
+    order = _kernel.dismantling_order(n, up, down, lower, upper)
     if order is not None:
         order = tuple(names[i] for i in order)
     assert order == oracles.dismantling_order_by_recount(names, covers), where
