@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import warnings
 from collections.abc import Sequence
-from functools import partial
 from math import comb
 
 from . import _kernel
@@ -45,6 +44,8 @@ class LabeledGraph:
 
     @classmethod
     def from_mask(cls, n, mask):
+        if n < 1:
+            raise ValueError(f"need n >= 1, got {n}")
         if mask < 0 or mask >> comb(n, 2):
             raise ValueError(f"edge mask {mask:#x} has bits outside J_N for n = {n}")
         obj = cls.__new__(cls)
@@ -107,10 +108,29 @@ class DirectedLabeledGraph(LabeledGraph):
         return self.edges
 
 
+def _built(n, masks):
+    """``LabeledGraph.from_mask(n, mask)`` for each mask, lazily, with the
+    same checks and errors.  n and the width C(n, 2) are checked and
+    computed once, and each graph is two slot writes on a bare instance,
+    so iteration makes no call per element."""
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    width = comb(n, 2)
+    new = object.__new__
+    for mask in masks:
+        if mask < 0 or mask >> width:
+            raise ValueError(f"edge mask {mask:#x} has bits outside J_N for n = {n}")
+        g = new(LabeledGraph)
+        g.n = n
+        g.mask = mask
+        yield g
+
+
 class GraphSequence(Sequence):
     """Read-only sequence of labeled graphs on n vertices, backed by a list
-    of edge masks.  Each element is built by ``LabeledGraph.from_mask`` when
-    it is indexed or iterated over, so only the masks are held."""
+    of edge masks.  Each element is built from its mask, with the checks of
+    ``LabeledGraph.from_mask``, when it is indexed or iterated over, so only
+    the masks are held."""
 
     __slots__ = ("n", "_masks")
 
@@ -127,7 +147,10 @@ class GraphSequence(Sequence):
         return LabeledGraph.from_mask(self.n, self._masks[index])
 
     def __iter__(self):
-        return map(partial(LabeledGraph.from_mask, self.n), self._masks)
+        return _built(self.n, self._masks)
+
+    def __reversed__(self):
+        return _built(self.n, reversed(self._masks))
 
     def __repr__(self):
         return f"{type(self).__name__}(n={self.n}, len={len(self)})"
@@ -175,7 +198,8 @@ def check_bounds(n, q):
 def enumerate_d(n, q, cap=DEFAULT_ENUM_CAP):
     """All labeled graphs on n unisolated vertices with q edges, in
     lexicographic order of their edge-label sets, as a read-only
-    ``GraphSequence`` that builds each graph from its edge mask on access.
+    ``GraphSequence`` that holds the edge masks and builds each graph from
+    its mask on access.
 
     Refuses n above ``cap`` (default 7, where the 22 cells hold 1,887,284
     graphs); pass a larger cap explicitly to override.  Exact counts at any size come from the

@@ -6,9 +6,10 @@ from math import comb
 
 import pytest
 
+from fbblat import _kernel
 from fbblat.errors import EnumerationCapError, OrientationError
-from fbblat.graphs import (DirectedLabeledGraph, LabeledGraph, check_bounds,
-                           enumerate_d, forget_orientation,
+from fbblat.graphs import (DirectedLabeledGraph, GraphSequence, LabeledGraph,
+                           check_bounds, enumerate_d, forget_orientation,
                            has_isolated_vertex, isolated_vertices, orient)
 
 import oracles
@@ -28,6 +29,19 @@ def test_rejects_loops_and_out_of_range():
         LabeledGraph(4, [(1, 5)])
     with pytest.raises(ValueError):
         LabeledGraph.from_mask(3, 1 << 3)
+
+
+@pytest.mark.parametrize("build", [
+    lambda n: LabeledGraph.from_mask(n, 0),
+    lambda n: LabeledGraph.from_ranks(n, []),
+    lambda n: DirectedLabeledGraph.from_mask(n, 0),
+    lambda n: list(GraphSequence(n, [])),
+    lambda n: list(reversed(GraphSequence(n, [0]))),
+], ids=["from_mask", "from_ranks", "directed_from_mask", "iter", "reversed"])
+@pytest.mark.parametrize("n", [0, -2])
+def test_graphs_need_a_vertex(build, n):
+    with pytest.raises(ValueError, match=rf"^need n >= 1, got {n}$"):
+        build(n)
 
 
 def test_directed_graph_rejects_bad_orientation():
@@ -89,8 +103,6 @@ def test_enumerate_d_is_in_lexicographic_rank_order():
 def test_enumerate_d_is_a_lazy_sequence_of_graphs():
     from collections.abc import Sequence
 
-    from fbblat import _kernel
-
     masks = _kernel.unisolated_masks(5, 6)
     seq = enumerate_d(5, 6)
     assert isinstance(seq, Sequence)
@@ -112,6 +124,47 @@ def test_enumerate_d_is_a_lazy_sequence_of_graphs():
     assert LabeledGraph(5, [(1, 2)]) not in seq
     assert LabeledGraph.from_mask(6, masks[0]) not in seq
     assert orient(seq[0]) not in seq
+
+
+def test_enumerate_d_iterates_as_from_mask_over_the_kernel_masks():
+    for n in range(2, 7):
+        for q in range(comb(n, 2) + 1):
+            seq = enumerate_d(n, q)
+            expected = [LabeledGraph.from_mask(n, m)
+                        for m in _kernel.unisolated_masks(n, q)]
+            forward, backward = list(seq), list(reversed(seq))
+            assert forward == expected, (n, q)
+            assert backward == expected[::-1], (n, q)
+            for got in (forward, backward):
+                assert all(type(g) is LabeledGraph and not hasattr(g, "__dict__")
+                           for g in got)
+                assert len(set(map(id, got))) == len(got)
+
+
+@pytest.mark.parametrize("bad", [1 << 3, -1])
+def test_graph_sequence_stops_at_a_bad_mask(bad):
+    with pytest.raises(ValueError) as direct:
+        LabeledGraph.from_mask(3, bad)
+    seq = GraphSequence(3, [1, bad, 2])
+    for it, first in ((iter(seq), 1), (reversed(seq), 2)):
+        assert next(it) == LabeledGraph.from_mask(3, first)
+        with pytest.raises(ValueError) as lazy:
+            next(it)
+        assert str(lazy.value) == str(direct.value)
+
+
+def test_graph_sequence_iterates_without_from_mask(monkeypatch):
+    # Iteration builds graphs inline; a per-element classmethod call costs
+    # about a third of an n = 7 enumeration pass.
+    masks = _kernel.unisolated_masks(5, 6)
+    seq = enumerate_d(5, 6)
+
+    def refuse(cls, n, mask):
+        raise AssertionError("GraphSequence iteration called from_mask")
+
+    monkeypatch.setattr(LabeledGraph, "from_mask", classmethod(refuse))
+    assert [g.mask for g in seq] == masks
+    assert [g.mask for g in reversed(seq)] == masks[::-1]
 
 
 def test_enumerate_d_cap():
