@@ -25,6 +25,23 @@ def _mask_ranks(mask):
         mask ^= low
 
 
+def _built(cls, n, masks):
+    """A ``cls`` graph on n vertices for each edge mask, lazily.  n and the
+    width C(n, 2) are checked and computed once, and each graph is two slot
+    writes on a bare instance, so iteration makes no call per element."""
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    width = comb(n, 2)
+    new = object.__new__
+    for mask in masks:
+        if mask < 0 or mask >> width:
+            raise ValueError(f"edge mask {mask:#x} has bits outside J_N for n = {n}")
+        g = new(cls)
+        g.n = n
+        g.mask = mask
+        yield g
+
+
 class LabeledGraph:
     """Undirected labeled graph; edges are 2-subsets of {1..n}."""
 
@@ -44,14 +61,7 @@ class LabeledGraph:
 
     @classmethod
     def from_mask(cls, n, mask):
-        if n < 1:
-            raise ValueError(f"need n >= 1, got {n}")
-        if mask < 0 or mask >> comb(n, 2):
-            raise ValueError(f"edge mask {mask:#x} has bits outside J_N for n = {n}")
-        obj = cls.__new__(cls)
-        obj.n = n
-        obj.mask = mask
-        return obj
+        return next(_built(cls, n, (mask,)))
 
     @classmethod
     def from_ranks(cls, n, ranks):
@@ -108,24 +118,6 @@ class DirectedLabeledGraph(LabeledGraph):
         return self.edges
 
 
-def _built(n, masks):
-    """``LabeledGraph.from_mask(n, mask)`` for each mask, lazily, with the
-    same checks and errors.  n and the width C(n, 2) are checked and
-    computed once, and each graph is two slot writes on a bare instance,
-    so iteration makes no call per element."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    width = comb(n, 2)
-    new = object.__new__
-    for mask in masks:
-        if mask < 0 or mask >> width:
-            raise ValueError(f"edge mask {mask:#x} has bits outside J_N for n = {n}")
-        g = new(LabeledGraph)
-        g.n = n
-        g.mask = mask
-        yield g
-
-
 class GraphSequence(Sequence):
     """Read-only sequence of labeled graphs on n vertices, backed by a list
     of edge masks.  Each element is built from its mask, with the checks of
@@ -147,10 +139,7 @@ class GraphSequence(Sequence):
         return LabeledGraph.from_mask(self.n, self._masks[index])
 
     def __iter__(self):
-        return _built(self.n, self._masks)
-
-    def __reversed__(self):
-        return _built(self.n, reversed(self._masks))
+        return _built(LabeledGraph, self.n, self._masks)
 
     def __repr__(self):
         return f"{type(self).__name__}(n={self.n}, len={len(self)})"

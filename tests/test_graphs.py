@@ -36,8 +36,7 @@ def test_rejects_loops_and_out_of_range():
     lambda n: LabeledGraph.from_ranks(n, []),
     lambda n: DirectedLabeledGraph.from_mask(n, 0),
     lambda n: list(GraphSequence(n, [])),
-    lambda n: list(reversed(GraphSequence(n, [0]))),
-], ids=["from_mask", "from_ranks", "directed_from_mask", "iter", "reversed"])
+], ids=["from_mask", "from_ranks", "directed_from_mask", "iter"])
 @pytest.mark.parametrize("n", [0, -2])
 def test_graphs_need_a_vertex(build, n):
     with pytest.raises(ValueError, match=rf"^need n >= 1, got {n}$"):
@@ -129,28 +128,23 @@ def test_enumerate_d_is_a_lazy_sequence_of_graphs():
 def test_enumerate_d_iterates_as_from_mask_over_the_kernel_masks():
     for n in range(2, 7):
         for q in range(comb(n, 2) + 1):
-            seq = enumerate_d(n, q)
-            expected = [LabeledGraph.from_mask(n, m)
-                        for m in _kernel.unisolated_masks(n, q)]
-            forward, backward = list(seq), list(reversed(seq))
-            assert forward == expected, (n, q)
-            assert backward == expected[::-1], (n, q)
-            for got in (forward, backward):
-                assert all(type(g) is LabeledGraph and not hasattr(g, "__dict__")
-                           for g in got)
-                assert len(set(map(id, got))) == len(got)
+            got = list(enumerate_d(n, q))
+            assert got == [LabeledGraph.from_mask(n, m)
+                           for m in _kernel.unisolated_masks(n, q)], (n, q)
+            assert all(type(g) is LabeledGraph and not hasattr(g, "__dict__")
+                       for g in got)
+            assert len(set(map(id, got))) == len(got)
 
 
 @pytest.mark.parametrize("bad", [1 << 3, -1])
 def test_graph_sequence_stops_at_a_bad_mask(bad):
     with pytest.raises(ValueError) as direct:
         LabeledGraph.from_mask(3, bad)
-    seq = GraphSequence(3, [1, bad, 2])
-    for it, first in ((iter(seq), 1), (reversed(seq), 2)):
-        assert next(it) == LabeledGraph.from_mask(3, first)
-        with pytest.raises(ValueError) as lazy:
-            next(it)
-        assert str(lazy.value) == str(direct.value)
+    it = iter(GraphSequence(3, [1, bad, 2]))
+    assert next(it) == LabeledGraph.from_mask(3, 1)
+    with pytest.raises(ValueError) as lazy:
+        next(it)
+    assert str(lazy.value) == str(direct.value)
 
 
 def test_graph_sequence_iterates_without_from_mask(monkeypatch):
@@ -164,7 +158,6 @@ def test_graph_sequence_iterates_without_from_mask(monkeypatch):
 
     monkeypatch.setattr(LabeledGraph, "from_mask", classmethod(refuse))
     assert [g.mask for g in seq] == masks
-    assert [g.mask for g in reversed(seq)] == masks[::-1]
 
 
 def test_enumerate_d_cap():
