@@ -9,13 +9,9 @@ and verifies that the two counting recurrences and direct enumeration agree.
 
 from ._kernel import active_implementation, compiled_available
 from .correspondence import (
-    AssociatedClass,
     EquivalenceReport,
-    LabeledArc,
-    PsiMap,
     phi,
     phi_inverse,
-    psi,
     verify_equivalence,
 )
 from .counting import (
@@ -49,7 +45,6 @@ from .fbb import (
     extract_adjunct_representation,
     is_basic_block_universal,
     is_fundamental_basic_block,
-    nullity_bounds,
 )
 from .graphs import (
     DEFAULT_ENUM_CAP,
@@ -58,25 +53,21 @@ from .graphs import (
     LabeledGraph,
     check_bounds,
     enumerate_d,
-    forget_orientation,
     has_isolated_vertex,
     isolated_vertices,
     orient,
 )
-from .labeling import PairChain, block_end, label_edges, pair_count, rank, unrank
+from .labeling import label_edges, pair_count, rank, unrank
 from .poset import (
-    CoverGraph,
     Poset,
     ReducibilityReport,
     classify,
-    cover_graph,
     dismantling_order,
     is_dismantlable,
     is_lattice,
     is_rc_lattice,
     nullity,
     remove_element,
-    transitive_order,
 )
 
 __version__ = "0.1.0"
@@ -84,12 +75,10 @@ __version__ = "0.1.0"
 __all__ = [
     "AdjunctRepresentation",
     "AdjunctTerm",
-    "AssociatedClass",
     "BFileDiff",
     "BFileMismatch",
     "CompleteFbb",
     "CountTable",
-    "CoverGraph",
     "DEFAULT_ENUM_CAP",
     "DirectedLabeledGraph",
     "DisjointnessError",
@@ -99,19 +88,15 @@ __all__ = [
     "Fbb",
     "GraphSequence",
     "InvalidAdjunctPairError",
-    "LabeledArc",
     "LabeledGraph",
     "MalformedPosetError",
     "NotALatticeError",
     "OrientationError",
-    "PairChain",
     "Poset",
-    "PsiMap",
     "ReducibilityReport",
     "UncoveredVertexError",
     "active_implementation",
     "adjunct",
-    "block_end",
     "build_cf",
     "build_fbb",
     "check_bounds",
@@ -120,13 +105,11 @@ __all__ = [
     "count_d",
     "count_d_oracle",
     "count_f",
-    "cover_graph",
     "diff_bfile",
     "dismantling_order",
     "emit_triangle",
     "enumerate_d",
     "extract_adjunct_representation",
-    "forget_orientation",
     "has_isolated_vertex",
     "is_basic_block_universal",
     "is_dismantlable",
@@ -136,15 +119,12 @@ __all__ = [
     "isolated_vertices",
     "label_edges",
     "nullity",
-    "nullity_bounds",
     "orient",
     "pair_count",
     "phi",
     "phi_inverse",
-    "psi",
     "rank",
     "remove_element",
-    "transitive_order",
     "unrank",
     "verify_equivalence",
 ]

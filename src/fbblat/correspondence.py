@@ -1,14 +1,14 @@
 """The interval/arc dictionary between a block's reducible chain and the
 oriented complete graph, and the induced bijection F_n(l) <-> D(n, l).
 
-``psi`` sends the reducible u_i to the vertex v_i and the interval [u_i, u_j]
-to the arc (v_i, v_j), whose label is the pair's rank.  Restricting psi to
-the intervals a block actually realizes gives ``phi``; going the other way,
-an arc set with no isolated vertex is exactly a valid rank set, which is
-``phi_inverse``.  Since arc labels are ranks, both are identities on the
-rank set: ``phi`` reads a block's ranks as an arc mask and ``phi_inverse``
-reads a digraph's mask as ranks.  ``verify_equivalence`` runs the whole
-loop for one (n, l) cell and cross-counts it against both recurrences.
+The dictionary psi sends the reducible u_i to the vertex v_i and the interval
+[u_i, u_j] to the arc (v_i, v_j), whose label is the pair's rank; ``phi`` is
+its restriction to the intervals a block realizes.  Going the other way, an
+arc set with no isolated vertex is exactly a valid rank set, which is
+``phi_inverse``.  Since arc labels are ranks, both are identities on the rank
+set: ``phi`` reads a block's ranks as an arc mask and ``phi_inverse`` reads a
+digraph's mask as ranks.  ``verify_equivalence`` runs the whole loop for one
+(n, l) cell and cross-counts it against both recurrences.
 """
 
 from __future__ import annotations
@@ -19,74 +19,7 @@ from . import counting, graphs
 from .errors import UncoveredVertexError
 from .fbb import build_fbb, is_fundamental_basic_block
 from .graphs import DirectedLabeledGraph, orient
-from .labeling import pair_count, rank, unrank
 from .poset import _order_scan, nullity
-
-
-@dataclass(frozen=True)
-class LabeledArc:
-    tail: int
-    head: int
-    label: int
-
-
-@dataclass(frozen=True)
-class AssociatedClass:
-    """Reducibles u_1..u_n plus the realized intervals [u_i, u_j], the latter
-    identified by their labels."""
-
-    n: int
-    interval_ranks: frozenset
-
-    @classmethod
-    def full(cls, n):
-        """The class of CF(n): every interval present."""
-        return cls(n, frozenset(range(1, pair_count(n) + 1)))
-
-    @classmethod
-    def of_fbb(cls, f):
-        return cls(f.n, frozenset(f.ranks))
-
-    @property
-    def reducibles(self):
-        return tuple(f"u{i}" for i in range(1, self.n + 1))
-
-    @property
-    def intervals(self):
-        """Realized intervals as (i, j) index pairs, ascending by label."""
-        return tuple(unrank(self.n, k) for k in sorted(self.interval_ranks))
-
-
-@dataclass(frozen=True)
-class PsiMap:
-    """The bijection u_i <-> v_i, [u_i, u_j] <-> labeled arc (v_i, v_j)."""
-
-    n: int
-
-    def vertex_of_reducible(self, i):
-        if not 1 <= i <= self.n:
-            raise ValueError(f"u{i} is not one of the {self.n} reducibles")
-        return i
-
-    def arc_of_interval(self, i, j):
-        return LabeledArc(i, j, rank(self.n, i, j))
-
-    def interval_of_arc(self, i, j):
-        rank(self.n, i, j)  # validates the arc
-        return i, j
-
-    def interval_of_label(self, k):
-        return unrank(self.n, k)
-
-    def graph_of(self, assoc):
-        """Image of an associated class: the digraph with one arc per
-        realized interval, labeled by the interval's rank."""
-        return DirectedLabeledGraph.from_ranks(assoc.n, assoc.interval_ranks)
-
-
-def psi(n):
-    pair_count(n)  # validates n
-    return PsiMap(n)
 
 
 def phi(f):

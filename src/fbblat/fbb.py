@@ -18,6 +18,7 @@ parsed back.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import comb
 
@@ -31,7 +32,7 @@ from .errors import (
 )
 # ``rank`` is unused here but stays importable as ``fbb.rank``, a binding
 # the benchmark's tracer tests rebind and check.
-from .labeling import PairChain, rank, unrank  # noqa: F401
+from .labeling import rank, unrank  # noqa: F401
 from .poset import Poset, is_lattice, is_rc_lattice
 
 
@@ -108,14 +109,6 @@ def _extreme(p, masks):
     raise NotALatticeError("lattice has no extreme element")  # unreachable
 
 
-def nullity_bounds(n):
-    """(lowest, highest) nullity a fundamental basic block on n reducibles
-    can have: floor((n+1)/2) .. C(n,2)."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    return (n + 1) // 2, comb(n, 2)
-
-
 def _assemble(n, ordered, pairs):
     """The block with one c_k per label k of ``ordered`` (ascending), glued
     between u_i and u_j for the matching (i, j) of ``pairs``.
@@ -144,8 +137,15 @@ def build_cf(n):
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     labels = range(1, comb(n, 2) + 1)
-    return CompleteFbb(n, frozenset(labels),
-                       _assemble(n, labels, PairChain.of(n).pairs))
+    pairs = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
+    return CompleteFbb(n, frozenset(labels), _assemble(n, labels, pairs))
+
+
+def _label(k):
+    try:
+        return operator.index(k)
+    except TypeError:
+        raise ValueError(f"label {k!r} is not an integer") from None
 
 
 def build_fbb(n, ranks):
@@ -157,7 +157,7 @@ def build_fbb(n, ranks):
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    rankset = frozenset(int(k) for k in ranks)
+    rankset = frozenset(map(_label, ranks))
     top = comb(n, 2)
     bad = sorted(k for k in rankset if not 1 <= k <= top)
     if bad:

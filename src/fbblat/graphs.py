@@ -66,9 +66,12 @@ class LabeledGraph:
     @classmethod
     def from_ranks(cls, n, ranks):
         """The graph whose edge labels are ``ranks``."""
+        if n < 1:
+            raise ValueError(f"need n >= 1, got {n}")
+        top = comb(n, 2)
         mask = 0
         for k in ranks:
-            if k < 1:
+            if not 1 <= k <= top:
                 raise ValueError(f"edge label {k} outside J_N for n = {n}")
             mask |= 1 << (k - 1)
         return cls.from_mask(n, mask)
@@ -148,11 +151,6 @@ class GraphSequence(Sequence):
 def orient(g):
     """The unique low-to-high orientation of a labeled graph."""
     return DirectedLabeledGraph.from_mask(g.n, g.mask)
-
-
-def forget_orientation(dg):
-    """Drop arc directions; inverse of ``orient``."""
-    return LabeledGraph.from_mask(dg.n, dg.mask)
 
 
 def isolated_vertices(g):

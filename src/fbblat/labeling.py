@@ -16,7 +16,6 @@ Labels are plain ints; indexing is 1-based throughout, and callers that host
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, isqrt
 
 from .errors import OrientationError
@@ -47,14 +46,6 @@ def rank(n, i, j):
     return (i - 1) * n - comb(i, 2) + j - i
 
 
-def block_end(n, r):
-    """Label of (r, n), the last pair of block S_r."""
-    _check_n(n)
-    if not 1 <= r < n:
-        raise ValueError(f"need 1 <= r < {n}, got r = {r}")
-    return r * n - comb(r + 1, 2)
-
-
 def unrank(n, k):
     """The unique pair (i, j) with rank(n, i, j) = k."""
     _check_n(n)
@@ -66,39 +57,14 @@ def unrank(n, k):
     return n - s, n - after + s * (s - 1) // 2
 
 
-@dataclass(frozen=True)
-class PairChain:
-    """The chain S of pairs in dictionary order with its block structure."""
-
-    n: int
-    pairs: tuple
-
-    @classmethod
-    def of(cls, n):
-        _check_n(n)
-        return cls(n, tuple((i, j) for i in range(1, n)
-                            for j in range(i + 1, n + 1)))
-
-    def blocks(self):
-        """S_1, ..., S_{n-1}; block r has n - r pairs."""
-        out = []
-        start = 0
-        for r in range(1, self.n):
-            out.append(self.pairs[start:start + self.n - r])
-            start += self.n - r
-        return out
-
-
 def label_edges(g):
-    """Label map for a low-to-high oriented subgraph of K_n.
-
-    ``g`` needs vertex count ``g.n`` and arcs ``g.arcs``; each arc (i, j) maps
-    to rank(n, i, j), and the map is injective with inverse ``unrank``.
-    """
+    """Label map for a subgraph of K_n, directed or not: each pair (i, j),
+    i < j, of ``g.edges`` maps to rank(g.n, i, j); the map is injective with
+    inverse ``unrank``."""
     out = {}
-    for i, j in g.arcs:
+    for i, j in g.edges:
         if not (1 <= i < j <= g.n):
             raise OrientationError(
-                f"arc ({i}, {j}) is not oriented low-to-high within 1..{g.n}")
+                f"edge ({i}, {j}) is not oriented low-to-high within 1..{g.n}")
         out[(i, j)] = rank(g.n, i, j)
     return out

@@ -26,15 +26,6 @@ from .errors import MalformedPosetError, NotALatticeError
 
 
 @dataclass(frozen=True)
-class CoverGraph:
-    """Undirected view of a poset's covers."""
-
-    vertices: tuple
-    edges: tuple  # (lower, upper) name pairs
-    components: int
-
-
-@dataclass(frozen=True)
 class ReducibilityReport:
     """Element classification of one poset.
 
@@ -164,9 +155,6 @@ class Poset:
     def lt(self, a, b):
         return (self._up[self._index[a]] >> self._index[b]) & 1 == 1
 
-    def le(self, a, b):
-        return a == b or self.lt(a, b)
-
     def comparable(self, a, b):
         return a == b or self.lt(a, b) or self.lt(b, a)
 
@@ -209,24 +197,6 @@ class Poset:
 
 
 # -- module operations --------------------------------------------------------
-
-
-def transitive_order(p):
-    """Strict order relation derived from the covers, as name pairs."""
-    out = set()
-    for i, mask in enumerate(p._up):
-        a = p._names[i]
-        while mask:
-            low = mask & -mask
-            out.add((a, p._names[low.bit_length() - 1]))
-            mask ^= low
-    return frozenset(out)
-
-
-def cover_graph(p):
-    """The poset's covers as a plain graph, with its component count."""
-    _, comps = _kernel.induced_nullity_parts(len(p), p._lower, p._upper)
-    return CoverGraph(p.names, p.covers, comps)
 
 
 def nullity(p):

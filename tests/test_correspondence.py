@@ -1,57 +1,16 @@
-"""The block/digraph dictionary: psi bijectivity, phi round trips over full
+"""The block/digraph dictionary: phi round trips over full
 enumerations, and the cross-counted verification cells."""
 
 from math import comb
 
 import pytest
 
-from fbblat.correspondence import (AssociatedClass, LabeledArc, phi,
-                                   phi_inverse, psi, verify_equivalence)
+from fbblat.correspondence import phi, phi_inverse, verify_equivalence
 from fbblat.errors import UncoveredVertexError
 from fbblat.fbb import build_cf, build_fbb
 from fbblat.graphs import DirectedLabeledGraph, enumerate_d, orient
 from fbblat.labeling import rank
 from fbblat.poset import classify, nullity
-
-
-def test_psi_known_images():
-    pm = psi(4)
-    assert pm.arc_of_interval(2, 3) == LabeledArc(2, 3, 4)
-    assert pm.arc_of_interval(1, 2) == LabeledArc(1, 2, 1)
-    assert psi(5).arc_of_interval(2, 4) == LabeledArc(2, 4, 6)
-    assert pm.vertex_of_reducible(3) == 3
-    assert pm.interval_of_label(4) == (2, 3)
-
-
-def test_psi_is_a_bijection():
-    for n in range(2, 7):
-        pm = psi(n)
-        full = AssociatedClass.full(n)
-        assert len(full.interval_ranks) == comb(n, 2)
-        arcs = [pm.arc_of_interval(i, j) for i, j in full.intervals]
-        assert len({a.label for a in arcs}) == comb(n, 2)
-        assert {a.label for a in arcs} == set(range(1, comb(n, 2) + 1))
-        assert [(a.tail, a.head) for a in arcs] == list(full.intervals)
-        for a in arcs:
-            assert pm.interval_of_arc(a.tail, a.head) == (a.tail, a.head)
-            assert pm.interval_of_label(a.label) == (a.tail, a.head)
-        vertices = [pm.vertex_of_reducible(i) for i in range(1, n + 1)]
-        assert vertices == list(range(1, n + 1))
-
-
-def test_psi_domain_errors():
-    with pytest.raises(ValueError):
-        psi(4).vertex_of_reducible(5)
-    with pytest.raises(ValueError):
-        psi(4).arc_of_interval(3, 3)
-
-
-def test_associated_class_of_block():
-    block = build_fbb(4, {1, 3, 4, 5})
-    assoc = AssociatedClass.of_fbb(block)
-    assert assoc.reducibles == ("u1", "u2", "u3", "u4")
-    assert assoc.intervals == ((1, 2), (1, 4), (2, 3), (2, 4))
-    assert len(assoc.interval_ranks) == nullity(block.poset)
 
 
 def test_phi_known_images():

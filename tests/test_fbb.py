@@ -14,8 +14,7 @@ from fbblat.errors import (DisjointnessError, ExtractionUnsupportedError,
 from fbblat.fbb import (AdjunctTerm, CompleteFbb, Fbb,
                         adjunct, build_cf, build_fbb,
                         extract_adjunct_representation,
-                        is_basic_block_universal, is_fundamental_basic_block,
-                        nullity_bounds)
+                        is_basic_block_universal, is_fundamental_basic_block)
 from fbblat.graphs import enumerate_d
 from fbblat.labeling import rank, unrank
 from fbblat.poset import (Poset, classify, is_dismantlable, is_lattice,
@@ -150,6 +149,8 @@ def test_build_fbb_rejects_labels_outside_range():
         build_fbb(4, {0, 1, 2, 3, 4, 5, 6})
     with pytest.raises(ValueError):
         build_fbb(4, {7})
+    with pytest.raises(ValueError, match=r"^label 1\.5 is not an integer$"):
+        build_fbb(3, {1.5, 2, 3})
 
 
 def test_build_fbb_ranks_are_a_set():
@@ -380,17 +381,7 @@ def test_extraction_matches_name_based_reference_on_foreign_posets(cf4_expected)
                 == _extraction_outcome(oracles.extract_by_names, block)), block
 
 
-# -- bounds and removal route -------------------------------------------------------------
-
-@pytest.mark.parametrize("n,expected", [(2, (1, 1)), (4, (2, 6)), (5, (3, 10))])
-def test_nullity_bounds_values(n, expected):
-    assert nullity_bounds(n) == expected
-
-
-def test_nullity_bounds_rejects_small_n():
-    with pytest.raises(ValueError):
-        nullity_bounds(1)
-
+# -- removal route -------------------------------------------------------------
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_single_removal_route_matches_direct_build(n):

@@ -9,8 +9,8 @@ import pytest
 from fbblat import _kernel
 from fbblat.errors import EnumerationCapError, OrientationError
 from fbblat.graphs import (DirectedLabeledGraph, GraphSequence, LabeledGraph,
-                           check_bounds, enumerate_d, forget_orientation,
-                           has_isolated_vertex, isolated_vertices, orient)
+                           check_bounds, enumerate_d, has_isolated_vertex,
+                           isolated_vertices, orient)
 
 import oracles
 
@@ -29,6 +29,8 @@ def test_rejects_loops_and_out_of_range():
         LabeledGraph(4, [(1, 5)])
     with pytest.raises(ValueError):
         LabeledGraph.from_mask(3, 1 << 3)
+    with pytest.raises(ValueError, match=r"^edge label 4 outside J_N for n = 3$"):
+        LabeledGraph.from_ranks(3, [4])
 
 
 @pytest.mark.parametrize("build", [
@@ -60,8 +62,9 @@ def test_orientation_round_trips():
         for q in range(comb(n, 2) + 1):
             for g in enumerate_d(n, q):
                 dg = orient(g)
-                assert forget_orientation(dg) == g
-                assert orient(forget_orientation(dg)) == dg
+                assert type(dg) is DirectedLabeledGraph
+                assert (dg.n, dg.mask, dg.arcs) == (g.n, g.mask, g.edges)
+                assert orient(dg) == dg
 
 
 def test_isolated_vertices_examples():

@@ -8,9 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fbblat.errors import OrientationError
-from fbblat.graphs import DirectedLabeledGraph
-from fbblat.labeling import (MAX_N, PairChain, block_end, label_edges,
-                             pair_count, rank, unrank)
+from fbblat.graphs import DirectedLabeledGraph, LabeledGraph
+from fbblat.labeling import MAX_N, label_edges, pair_count, rank, unrank
 
 from oracles import dict_pairs
 
@@ -58,7 +57,7 @@ def test_rank_strictly_increasing_along_dictionary_order():
 def test_block_end_law():
     for n in range(2, 26):
         for r in range(1, n):
-            assert block_end(n, r) == rank(n, r, n) == r * n - comb(r + 1, 2)
+            assert rank(n, r, n) == r * n - comb(r + 1, 2)
 
 
 @given(st.integers(2, 50), st.data())
@@ -76,23 +75,11 @@ def test_round_trip_at_the_size_limit(n):
     top = comb(n, 2)
     labels = {1, top}
     for r in [*range(1, 51), *range(n - 50, n)]:
-        labels.add(block_end(n, r))
+        labels.add(rank(n, r, n))
         if r < n - 1:
-            labels.add(block_end(n, r) + 1)
+            labels.add(rank(n, r, n) + 1)
     for k in sorted(labels):
         assert rank(n, *unrank(n, k)) == k, f"n={n} k={k}"
-
-
-def test_pair_chain_structure():
-    for n in range(2, 10):
-        chain = PairChain.of(n)
-        assert len(chain.pairs) == comb(n, 2)
-        assert list(chain.pairs) == dict_pairs(n)
-        blocks = chain.blocks()
-        assert [len(b) for b in blocks] == [n - r for r in range(1, n)]
-        assert sum(blocks, ()) == chain.pairs
-        for r, block in enumerate(blocks, start=1):
-            assert all(i == r for i, _ in block)
 
 
 @pytest.mark.parametrize("call", [
@@ -105,8 +92,8 @@ def test_pair_chain_structure():
     lambda: unrank(4, 0),
     lambda: unrank(4, 7),
     lambda: unrank(1, 1),
-    lambda: block_end(4, 0),
-    lambda: block_end(4, 4),
+    lambda: unrank(MAX_N + 1, 1),
+    lambda: pair_count(MAX_N + 1),
     lambda: pair_count(1),
 ])
 def test_domain_errors(call):
@@ -131,12 +118,16 @@ def test_label_edges_empty():
 
 
 def test_label_edges_rejects_bad_orientation():
-    class Arcs:
+    class Edges:
         n = 4
-        arcs = ((2, 1),)
+        edges = ((2, 1),)
 
     with pytest.raises(OrientationError):
-        label_edges(Arcs())
+        label_edges(Edges())
+
+
+def test_label_edges_of_an_undirected_graph():
+    assert label_edges(LabeledGraph(4, [(2, 1), (4, 2)])) == {(1, 2): 1, (2, 4): 5}
 
 
 def test_label_edges_inverse_recovers_edge():

@@ -2,8 +2,9 @@
 predicates and their unisolated-subgraph enumeration against the slow
 references in ``oracles``; on lattices also ``classify`` and
 ``is_rc_lattice``, which decide on the kernel's reducibility masks.  The
-kernels read the cover masks a ``Poset`` stores, so those are checked
-against the input covers on every poset too.
+kernels read the order and cover masks a ``Poset`` stores, so those are
+checked against the oracle's order and the input covers on every poset
+too.
 
 Every block on at most four reducibles, each block's single-element
 removals, random posets of up to nine elements, non-lattices included, a
@@ -18,8 +19,7 @@ from hypothesis import strategies as st
 
 from fbblat import _kernel
 from fbblat.fbb import build_cf, build_fbb
-from fbblat.poset import (Poset, classify, cover_graph, is_lattice,
-                          is_rc_lattice, nullity)
+from fbblat.poset import Poset, classify, is_lattice, is_rc_lattice, nullity
 
 import oracles
 
@@ -40,8 +40,14 @@ def _assert_matches_oracles(label, names, covers):
     for i, x in enumerate(names):  # cover sets, in element index order
         assert p.upper_covers(x) == tuple(names[b] for a, b in pairs if a == i), where
         assert p.lower_covers(x) == tuple(names[a] for a, b in pairs if b == i), where
-    assert cover_graph(p).components == oracles.component_count(names, covers), where
+    assert (p._up, p._down) == (tuple(up), tuple(down)), where
+    strict = oracles.order_pairs(names, covers)
+    for i, x in enumerate(names):  # the closure against the oracle's order
+        assert _names_of(up[i], names) == {b for a, b in strict if a == x}, where
+        assert _names_of(down[i], names) == {a for a, b in strict if b == x}, where
     lower, upper = p._lower, p._upper
+    edges, comps = _kernel.induced_nullity_parts(n, lower, upper)
+    assert comps == oracles.component_count(names, covers), where
     lattice, jr, mr = _kernel.reducibility(n, up, down)
     assert lattice == oracles.is_lattice(names, covers), where
     join_red, meet_red = oracles.reducibility(names, covers)
@@ -54,7 +60,6 @@ def _assert_matches_oracles(label, names, covers):
                     set(names) - meet_red,
                     oracles.doubly_irreducible(names, covers))), where
         assert is_rc_lattice(p) == oracles.is_rc_lattice(names, covers), where
-    edges, comps = _kernel.induced_nullity_parts(n, lower, upper)
     assert edges - n + comps == oracles.nullity(names, covers), where
     assert (_kernel.basic_block_universal(n, up, down, lower, upper)
             == oracles.basic_block_by_removal(names, covers)), where
