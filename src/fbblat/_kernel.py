@@ -102,16 +102,70 @@ def _least_of(subset, up, down):
     return -1
 
 
+def _bound_scan(up, down):
+    """(mask of least elements, whether every set has one) over the distinct
+    sets ``up[i] & up[j]`` of incomparable i, j.  Read with ``down`` and
+    ``up`` swapped, it gives the greatest elements of the lower-bound sets.
+
+    The scan visits classes of elements with equal up-set, not element
+    pairs.  Two members of one class are incomparable (i < j would put j in
+    up[i] but not in up[j]), so a class A of two or more members meets the
+    bound set U_A they share.  For i in A and j in another class B, i < j
+    iff j is in U_A and j < i iff i is in U_B, so j is incomparable to some
+    member of A iff j lies outside U_A and outside D_A, the down-set common
+    to A's members, and every such pair has the bound set U_A & U_B.  So A
+    visits once each later class that meets the complement of U_A | D_A,
+    and clears that class's members from the candidates.
+    """
+    classes = {}
+    owner = []  # owner[j]: [members, D, U] of j's class
+    for i, u in enumerate(up):
+        c = classes.get(u)
+        if c is None:
+            c = classes[u] = [1 << i, down[i], u]
+        else:
+            c[0] |= 1 << i
+            c[1] &= down[i]
+        owner.append(c)
+    bounds = set()
+    rest = (1 << len(up)) - 1  # members of the classes not yet visited from
+    for members, below, shared in classes.values():
+        rest ^= members
+        if members & (members - 1):
+            bounds.add(shared)
+        cand = rest & ~(shared | below)
+        while cand:
+            theirs, _, other = owner[(cand & -cand).bit_length() - 1]
+            cand &= ~theirs
+            bounds.add(shared & other)
+    least = 0
+    resolved = True
+    for m in bounds:
+        u = _least_of(m, up, down)
+        if u < 0:
+            resolved = False
+        else:
+            least |= 1 << u
+    return least, resolved
+
+
 def reducibility(n, up, down):
     """(is_lattice, join_reducible, meet_reducible) from one scan of the
-    incomparable pairs.
+    distinct bound sets of incomparable pairs on each side.
 
     x is join-reducible iff x = y v z for some y, z both distinct from x.
     Comparable pairs have one of themselves as join and meet, so only
     incomparable pairs can produce such an x, and for those the common upper
-    bounds are ``up[i] & up[j]`` (neither i nor j is among them).  Each
-    distinct set of common upper (lower) bounds is resolved to its least
-    (greatest) element once.
+    bounds are ``up[i] & up[j]`` (neither i nor j is among them).  That set
+    depends on i and j only through their up-sets, so ``_bound_scan``
+    groups the elements into classes of equal up-set and visits class pairs
+    instead of element pairs: a class pair yields the bound set U_A & U_B
+    whichever of its incomparable element pairs is taken, and it is visited
+    iff it holds one.  So the scan meets exactly the bound sets the
+    element-pair scan meets, and the masks are the same bit for bit.  The
+    lower-bound sets are scanned the same way over classes of equal
+    down-set.  Each distinct set of common upper (lower) bounds is resolved
+    to its least (greatest) element once.
 
     A finite poset with a single minimal element (its bottom) is a lattice
     iff every pair has a join (Davey & Priestley): the meet of a pair is then
@@ -120,37 +174,10 @@ def reducibility(n, up, down):
     has a least element.  The scan runs to the end on non-lattices too, so
     the masks hold for every poset.
     """
-    lattice = sum(1 for d in down if not d) <= 1
-    jr = 0
-    mr = 0
-    uppers = set()
-    lowers = set()
-    full = (1 << n) - 1
-    for i in range(n):
-        inc = (full ^ ((2 << i) - 1)) & ~(up[i] | down[i])  # j > i only
-        while inc:
-            low = inc & -inc
-            j = low.bit_length() - 1
-            inc ^= low
-            m = up[i] & up[j]
-            if m not in uppers:
-                uppers.add(m)
-                u = _least_of(m, up, down)
-                if u < 0:
-                    lattice = False
-                else:
-                    jr |= 1 << u
-            m = down[i] & down[j]
-            if m not in lowers:
-                lowers.add(m)
-                u = _least_of(m, down, up)
-                if u >= 0:
-                    mr |= 1 << u
+    jr, joins = _bound_scan(up, down)
+    mr, _ = _bound_scan(down, up)
+    lattice = joins and down.count(0) <= 1
     return lattice, jr, mr
-
-
-def _at_most_one(mask):
-    return not mask & (mask - 1)
 
 
 def basic_block_universal(n, up, down, lower, upper):
@@ -168,7 +195,7 @@ def basic_block_universal(n, up, down, lower, upper):
         return True
     for z in range(n):
         lo, hi = lower[z], upper[z]
-        if not (_at_most_one(lo) and _at_most_one(hi)):
+        if lo & (lo - 1) or hi & (hi - 1):
             continue
         if not lo or not hi:
             return False
@@ -193,8 +220,8 @@ def dismantling_order(n, up, down, lower, upper):
     lower = list(lower)
     upper = list(upper)
     irr = 0
-    for v in range(n):
-        if _at_most_one(lower[v]) and _at_most_one(upper[v]):
+    for v, (lo, hi) in enumerate(zip(lower, upper)):
+        if not (lo & (lo - 1) or hi & (hi - 1)):
             irr |= 1 << v
     order = []
     for _ in range(n - 1):
@@ -216,8 +243,10 @@ def dismantling_order(n, up, down, lower, upper):
             upper[a] |= hi
             lower[b] |= lo
         for v in (a, b):
-            if v >= 0 and _at_most_one(lower[v]) and _at_most_one(upper[v]):
-                irr |= 1 << v
+            if v >= 0:
+                below, above = lower[v], upper[v]
+                if not (below & (below - 1) or above & (above - 1)):
+                    irr |= 1 << v
     return order
 
 

@@ -32,7 +32,7 @@ from .errors import (
 )
 # ``rank`` is unused here but stays importable as ``fbb.rank``, a binding
 # the benchmark's tracer tests rebind and check.
-from .labeling import rank, unrank  # noqa: F401
+from .labeling import _unrank_ascending, rank, unrank  # noqa: F401
 from .poset import Poset, is_lattice, is_rc_lattice
 
 
@@ -247,7 +247,7 @@ def _adjunct_terms(f):
         raise ExtractionUnsupportedError(
             f"element {extra!r} is outside the canonical block of rank set "
             f"{ordered}")
-    terms = [(k, unrank(n, k)) for k in ordered]
+    terms = list(zip(ordered, _unrank_ascending(n, ordered)))
     links = list(zip(pos, pos[1:len(chain)]))
     glued = [(pos[u[i]], c, pos[u[j]])
              for c, (_, (i, j)) in zip(pos[len(chain):], terms)]

@@ -71,9 +71,12 @@ class LabeledGraph:
         top = comb(n, 2)
         mask = 0
         for k in ranks:
-            if not 1 <= k <= top:
-                raise ValueError(f"edge label {k} outside J_N for n = {n}")
-            mask |= 1 << (k - 1)
+            try:
+                if not 1 <= k <= top:
+                    raise ValueError(f"edge label {k} outside J_N for n = {n}")
+                mask |= 1 << (k - 1)
+            except TypeError:
+                raise ValueError(f"edge label {k!r} is not an integer") from None
         return cls.from_mask(n, mask)
 
     @property

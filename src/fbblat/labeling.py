@@ -16,6 +16,7 @@ Labels are plain ints; indexing is 1-based throughout, and callers that host
 
 from __future__ import annotations
 
+import operator
 from math import comb, isqrt
 
 from .errors import OrientationError
@@ -41,6 +42,10 @@ def pair_count(n):
 def rank(n, i, j):
     """Label in J_N of the pair (i, j)."""
     _check_n(n)
+    try:
+        i, j = operator.index(i), operator.index(j)
+    except TypeError:
+        raise ValueError(f"pair ({i!r}, {j!r}) is not a pair of integers") from None
     if not 1 <= i < j <= n:
         raise ValueError(f"need 1 <= i < j <= {n}, got ({i}, {j})")
     return (i - 1) * n - comb(i, 2) + j - i
@@ -55,6 +60,24 @@ def unrank(n, k):
     after = top - k  # labels above k
     s = (isqrt(8 * after + 1) + 1) // 2  # k lies in block S_{n-s}, s pairs
     return n - s, n - after + s * (s - 1) // 2
+
+
+def _unrank_ascending(n, labels):
+    """[unrank(n, k) for k in labels] for labels in ascending order, in one
+    walk over the blocks S_1..S_{n-1}: no square root per label."""
+    top = n * (n - 1) // 2
+    if labels and (labels[0] < 1 or labels[-1] > top):
+        bad = labels[0] if labels[0] < 1 else labels[-1]
+        raise ValueError(f"label {bad} outside J_N = 1..{top}")
+    out = []
+    i = 1
+    offset = -1  # rank(n, i, j) - j within block S_i
+    for k in labels:
+        while k > n + offset:  # past the last label of S_i
+            offset += n - i - 1
+            i += 1
+        out.append((i, k - offset))
+    return out
 
 
 def label_edges(g):

@@ -20,6 +20,7 @@ function, so instances can be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from . import _kernel
 from .errors import MalformedPosetError, NotALatticeError
@@ -242,8 +243,14 @@ def is_lattice(p):
     return _order_scan(p)[0]
 
 
+_DIGIT_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
 def _named(p, mask):
-    return frozenset(name for i, name in enumerate(p._names) if mask >> i & 1)
+    """Names of the elements in ``mask``, selected by its binary digits,
+    lowest first, as 0/1 bytes."""
+    digits = f"{mask:b}"[::-1].encode().translate(_DIGIT_BITS)
+    return frozenset(compress(p._names, digits))
 
 
 def classify(p):

@@ -2,10 +2,11 @@
 
 Order closure and component counts come from networkx, subset enumeration
 from itertools, and lattice and reducibility checks from brute-force bound
-scans; none of these touches the package's kernels.  The name-based block
-assembly and extraction are the package's earlier routines, kept as the
-reference for the index-based ones: they build and read posets through the
-public constructor and name lookups.  The counting references are the block
+scans; none of these touches the package's kernels.  The kernel's earlier
+element-pair reducibility scan is kept as the reference for its class scan.
+The name-based block assembly and extraction are the package's earlier
+routines, kept as the reference for the index-based ones: they build and
+read posets through the public constructor and name lookups.  The counting references are the block
 recurrence as its literal triple sum and inclusion-exclusion over forced
 isolated-vertex sets, both from ``math.comb`` alone.
 """
@@ -93,6 +94,46 @@ def reducibility(names, covers):
         if meet is not None and meet not in (y, z):
             meet_red.add(meet)
     return join_red, meet_red
+
+
+def _least_in(subset, up, down):
+    """Least element of a nonempty ``subset`` of order masks, else -1."""
+    for u in range(subset.bit_length()):
+        if subset >> u & 1 and not subset & ~(up[u] | 1 << u):
+            return u
+    return -1
+
+
+def reducibility_by_pair_scan(n, up, down):
+    """(is_lattice, join_reducible, meet_reducible) masks from the order
+    masks by the kernel's earlier scan: every incomparable pair i < j, its
+    common upper and lower bounds resolved to a least and a greatest
+    element, each distinct bound set once.  The poset is a lattice iff it
+    has at most one minimal element and every such upper-bound set has a
+    least element."""
+    lattice = sum(1 for d in down if not d) <= 1
+    jr = mr = 0
+    uppers = {}
+    lowers = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            if (up[i] | down[i]) >> j & 1:
+                continue
+            m = up[i] & up[j]
+            if m not in uppers:
+                uppers[m] = _least_in(m, up, down)
+            m = down[i] & down[j]
+            if m not in lowers:
+                lowers[m] = _least_in(m, down, up)
+    for u in uppers.values():
+        if u < 0:
+            lattice = False
+        else:
+            jr |= 1 << u
+    for u in lowers.values():
+        if u >= 0:
+            mr |= 1 << u
+    return lattice, jr, mr
 
 
 def is_rc_lattice(names, covers):

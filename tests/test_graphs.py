@@ -33,6 +33,20 @@ def test_rejects_loops_and_out_of_range():
         LabeledGraph.from_ranks(3, [4])
 
 
+@pytest.mark.parametrize("build,message", [
+    (lambda: LabeledGraph.from_ranks(3, [1.5]), r"^edge label 1\.5 is not an integer$"),
+    (lambda: LabeledGraph.from_ranks(3, [1, 2.0]), r"^edge label 2\.0 is not an integer$"),
+    (lambda: LabeledGraph.from_ranks(3, ["2"]), r"^edge label '2' is not an integer$"),
+    (lambda: DirectedLabeledGraph.from_ranks(3, [2.5]),
+     r"^edge label 2\.5 is not an integer$"),
+    (lambda: LabeledGraph(3, [(1, 2.5)]), r"^pair \(1, 2\.5\) is not a pair of integers$"),
+    (lambda: LabeledGraph(3, [(2.0, 1)]), r"^pair \(1, 2\.0\) is not a pair of integers$"),
+])
+def test_rejects_non_integer_labels_and_vertices(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 @pytest.mark.parametrize("build", [
     lambda n: LabeledGraph.from_mask(n, 0),
     lambda n: LabeledGraph.from_ranks(n, []),

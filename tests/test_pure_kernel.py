@@ -10,8 +10,17 @@ Every block on at most four reducibles, each block's single-element
 removals, random posets of up to nine elements, non-lattices included, a
 complete block past one 64-bit word, and every edge count of K_1..K_7 plus a
 few of K_8.
+
+``reducibility`` scans classes of elements with equal up-set (down-set), so
+it is also held to the element-pair scan it replaced,
+``oracles.reducibility_by_pair_scan``, mask for mask: on every poset above,
+on CF(2..14), on seeded blocks on 10-20 reducibles, on a chain and an
+antichain, and on random layered posets of up to 16 elements whose layers
+share covers, so that classes are large; those are checked against the
+brute-force lattice and reducibility oracles too, non-lattices included.
 """
 
+import random
 from math import comb
 
 from hypothesis import given, settings
@@ -19,6 +28,7 @@ from hypothesis import strategies as st
 
 from fbblat import _kernel
 from fbblat.fbb import build_cf, build_fbb
+from fbblat.labeling import unrank
 from fbblat.poset import Poset, classify, is_lattice, is_rc_lattice, nullity
 
 import oracles
@@ -49,6 +59,7 @@ def _assert_matches_oracles(label, names, covers):
     edges, comps = _kernel.induced_nullity_parts(n, lower, upper)
     assert comps == oracles.component_count(names, covers), where
     lattice, jr, mr = _kernel.reducibility(n, up, down)
+    assert (lattice, jr, mr) == oracles.reducibility_by_pair_scan(n, up, down), where
     assert lattice == oracles.is_lattice(names, covers), where
     join_red, meet_red = oracles.reducibility(names, covers)
     assert (_names_of(jr, names), _names_of(mr, names)) == (join_red, meet_red), where
@@ -105,6 +116,93 @@ def _random_posets(draw):
 def test_random_posets(poset):
     names, covers = poset
     _assert_matches_oracles("random poset", names, covers)
+
+
+def _assert_matches_pair_scan(label, p):
+    n, up, down = len(p), p._up, p._down
+    assert (_kernel.reducibility(n, up, down)
+            == oracles.reducibility_by_pair_scan(n, up, down)), label
+
+
+def test_reducibility_on_complete_blocks():
+    for n in range(2, 15):
+        _assert_matches_pair_scan(f"CF({n})", build_cf(n).poset)
+
+
+# (n, q) of blocks on 10-20 reducibles, q across the existence band.
+_WIDE_CELLS = ((10, 36), (12, 45), (16, 20), (20, 30), (14, 60), (16, 50),
+               (18, 80), (20, 110))
+
+
+def _block_touching_every_vertex(rng, n, q):
+    while True:
+        ranks = rng.sample(range(1, comb(n, 2) + 1), q)
+        if len({v for k in ranks for v in unrank(n, k)}) == n:
+            return build_fbb(n, ranks)
+
+
+def test_reducibility_on_wide_blocks():
+    rng = random.Random(12)
+    for n, q in _WIDE_CELLS:
+        for _ in range(3):
+            f = _block_touching_every_vertex(rng, n, q)
+            _assert_matches_pair_scan(f"block n={n} Q={sorted(f.ranks)}", f.poset)
+
+
+def test_reducibility_on_a_chain_and_an_antichain():
+    names = [f"v{k}" for k in range(12)]
+    chain = Poset.chain(names)
+    antichain = Poset(names, [])
+    for label, p in (("chain", chain), ("antichain", antichain)):
+        _assert_matches_pair_scan(label, p)
+    assert _kernel.reducibility(12, chain._up, chain._down) == (True, 0, 0)
+    assert _kernel.reducibility(12, antichain._up, antichain._down) == (False, 0, 0)
+
+
+@st.composite
+def _layered_posets(draw):
+    """Cover list of a poset in 1..5 layers of 1..5 elements, at most 16 in
+    all, each element covered by one of a few shared subsets of the next
+    layer, so that many elements have equal up-sets (and down-sets); half
+    of them get a bottom and a top.  Element indices are shuffled."""
+    sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=5))
+    while sum(sizes) > 16:
+        sizes.pop()
+    layers = []
+    start = 0
+    for size in sizes:
+        layers.append(list(range(start, start + size)))
+        start += size
+    n = start
+    edges = []
+    for low, high in zip(layers, layers[1:]):
+        shared = draw(st.lists(st.sets(st.sampled_from(high)), min_size=1, max_size=3))
+        for x in low:
+            edges += [(x, y) for y in draw(st.sampled_from(shared))]
+    if draw(st.booleans()):
+        bottom, top = n, n + 1
+        n += 2
+        covered = {b for _, b in edges}
+        covering = {a for a, _ in edges}
+        edges += [(bottom, x) for x in range(bottom) if x not in covered]
+        edges += [(x, top) for x in range(bottom) if x not in covering]
+    perm = draw(st.permutations(range(n)))
+    names = [f"v{k}" for k in range(n)]
+    return names, [(names[perm[a]], names[perm[b]]) for a, b in edges]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_layered_posets())
+def test_reducibility_on_layered_posets(poset):
+    names, covers = poset
+    p = Poset(names, covers)
+    lattice, jr, mr = _kernel.reducibility(len(p), p._up, p._down)
+    where = f"{len(names)} elements, covers {sorted(covers)}"
+    assert ((lattice, jr, mr)
+            == oracles.reducibility_by_pair_scan(len(p), p._up, p._down)), where
+    assert lattice == oracles.is_lattice(names, covers), where
+    join_red, meet_red = oracles.reducibility(names, covers)
+    assert (_names_of(jr, names), _names_of(mr, names)) == (join_red, meet_red), where
 
 
 def test_complete_block_past_one_word():
