@@ -22,11 +22,14 @@ def _parse_ranks(text, n):
         token = token.strip()
         if not token:
             continue
-        if "-" in token:
-            i, j = token.split("-", 1)
-            ranks.append(labeling.rank(n, int(i), int(j)))
-        else:
-            ranks.append(int(token))
+        try:
+            parts = [int(part) for part in token.split("-")]
+        except ValueError:
+            parts = ()
+        if not 1 <= len(parts) <= 2:
+            raise ValueError(
+                f"rank token {token!r} is neither a label nor an i-j pair")
+        ranks.append(labeling.rank(n, *parts) if parts[1:] else parts[0])
     return frozenset(ranks)
 
 

@@ -27,8 +27,8 @@ class UncoveredVertexError(ValueError):
 
 
 class ExtractionUnsupportedError(ValueError):
-    """Adjunct-representation extraction only handles the canonical
-    fundamental-basic-block shape."""
+    """A poset does not read as a fundamental basic block, or reads as
+    another (n, ranks) than the block claims."""
 
 
 class OrientationError(ValueError):

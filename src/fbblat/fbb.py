@@ -10,10 +10,10 @@ the nullity).  CF(n) is the complete case Q = J_N.
 
 Because of that, Q doubles as the identity of the block: two blocks are equal
 as canonical posets iff their rank sets agree, which is what ``Fbb`` carries.
-Blocks are built from Q as index-pair covers, and extraction and the
-predicates decide on the poset's element indices and stored covers; the
-names u<i>/x<i>/c<k> are written for rendering and the public API, and never
-parsed back.
+Blocks are built from Q as index-pair covers under the names u<i>/x<i>/c<k>,
+written for rendering and never parsed back: ``_reading`` reads (n, Q) off
+the poset's order alone, and phi, extraction and the fundamental-block
+predicate decide from that one cached reading, whatever the names.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from .errors import (
 )
 # ``rank`` is unused here but stays importable as ``fbb.rank``, a binding
 # the benchmark's tracer tests rebind and check.
-from .labeling import _unrank_ascending, rank, unrank  # noqa: F401
-from .poset import Poset, is_lattice, is_rc_lattice
+from .labeling import rank, unrank  # noqa: F401
+from .poset import Poset, _order_scan, is_lattice, is_rc_lattice
 
 
 @dataclass(frozen=True)
@@ -187,80 +187,89 @@ def is_basic_block_universal(p):
 
 
 def is_fundamental_basic_block(f):
-    """RC-lattice + basic block + pairwise distinct adjunct pairs."""
+    """RC-lattice + basic block + pairwise distinct adjunct pairs, the last
+    being that the poset reads as a block (see ``_reading``)."""
     p = f.poset
-    if not is_lattice(p):
+    if not (is_lattice(p) and is_rc_lattice(p) and is_basic_block_universal(p)):
         return False
-    if not is_rc_lattice(p):
+    try:
+        _reading(p)
+    except ExtractionUnsupportedError:
         return False
-    if not is_basic_block_universal(p):
-        return False
-    _, terms = _adjunct_terms(f)
-    return len({pair for _, pair in terms}) == len(terms)
+    return True
 
 
 def extract_adjunct_representation(f):
     """Base chain C'_0 plus one singleton term per adjunct pair, labels
     ascending; reassembling yields an identical poset.
 
-    Only the canonical block shape is handled: names u<i>/x<i>/c<k>, the u's
-    and x's forming the base chain and each c_k doubly irreducible between
-    the reducibles named by unrank(k).  Anything else raises.  The shape is
-    decided on the poset's index map and stored covers.
+    The terms come from the poset's order (see ``_reading``) and carry its
+    own element names, whatever they are; the poset must read as the
+    block's (n, ranks), else ExtractionUnsupportedError.
     """
-    chain, terms = _adjunct_terms(f)
-    return AdjunctRepresentation(
-        chain, tuple(AdjunctTerm(f"u{i}", f"u{j}", (f"c{k}",))
-                     for k, (i, j) in terms))
-
-
-def _adjunct_terms(f):
-    """(base chain names, [(k, (i, j)) per label k ascending]) of a block of
-    the canonical shape, else ExtractionUnsupportedError.
-
-    The canonical names must be exactly the poset's, and its stored covers
-    exactly the chain links plus u_i -> c_k -> u_j for every k: a poset
-    whose chain links and c_k covers are right has no other cover, since
-    any other link between chain elements would be implied or close a
-    cycle.  The link-by-link checks run only to name what broke."""
     p = f.poset
-    n = f.n
-    index = p._index
-    chain = []
-    u = [0] * (n + 1)  # u[i]: position of u_i in the chain
-    for i in range(1, n + 1):
-        u[i] = len(chain)
-        chain.append(f"u{i}")
-        if i < n and f"x{i}" in index:
-            chain.append(f"x{i}")
-    ordered = sorted(f.ranks)
-    names = chain + [f"c{k}" for k in ordered]
-    try:
-        pos = [index[name] for name in names]
-    except KeyError as exc:
+    n, _, chain, terms = _reading(p)
+    ranks = frozenset(k for k, _, _, _ in terms)
+    if (n, ranks) != (f.n, f.ranks):
         raise ExtractionUnsupportedError(
-            f"element {exc.args[0]!r} of the canonical block of rank set "
-            f"{ordered} is missing") from None
-    if len(pos) != len(p):
-        known = set(names)
-        extra = next(name for name in p.names if name not in known)
+            f"the poset reads as n = {n}, ranks {sorted(ranks)}, not as the "
+            f"block's n = {f.n}, ranks {sorted(f.ranks)}")
+    name = p.name_of
+    return AdjunctRepresentation(
+        tuple(map(name, chain)),
+        tuple(AdjunctTerm(name(lo), name(hi), (name(c),))
+              for _, lo, hi, c in terms))
+
+
+def _reading(p):
+    """(n, rank mask, base chain, ((k, u_i, u_j, c_k) per label k ascending))
+    of a block as element indices, read from its order alone and cached on
+    the poset; ExtractionUnsupportedError if the poset is no block.
+
+    The reducibles must form a chain u_1 < ... < u_n, and every other
+    element must have exactly one lower and one upper cover, both
+    reducible.  The pair (i, j), j > i + 1, is realized iff one element sits
+    between u_i and u_j; between u_i and u_{i+1} one element is the chain
+    element x_i, and two are x_i (the lower index) and c_k.  More is a
+    repeated adjunct pair.  Labels k count the pairs in dictionary order."""
+    reading = p._cache.get("reading")
+    if reading is not None:
+        return reading
+    lattice, jr, mr, doubly = _order_scan(p)
+    if not lattice:
+        raise ExtractionUnsupportedError("the poset is not a lattice")
+    red = jr | mr
+    n = red.bit_count()
+    us = [0] * n  # us[i - 1]: index of u_i, placed by its reducibles below
+    for u in _kernel._bits(red):
+        apart = red & ~(p._up[u] | p._down[u] | 1 << u)
+        if apart:
+            raise ExtractionUnsupportedError(
+                f"reducibles {p.name_of(u)!r} and "
+                f"{p.name_of(apart.bit_length() - 1)!r} are incomparable")
+        us[(p._down[u] & red).bit_count()] = u
+    chain, terms, mask, k, seen = [], [], 0, 0, 0
+    for i, u in enumerate(us):
+        chain.append(u)
+        hanging = p._upper[u] & doubly
+        for j in range(i + 1, n):
+            k += 1
+            m = hanging & p._lower[us[j]]
+            seen |= m
+            if m and j == i + 1:
+                chain.append((m & -m).bit_length() - 1)
+                m &= m - 1
+            if not m:
+                continue
+            if m & (m - 1):
+                raise ExtractionUnsupportedError(
+                    f"the adjunct pair ({p.name_of(u)!r}, "
+                    f"{p.name_of(us[j])!r}) is realized {m.bit_count()} times")
+            mask |= 1 << (k - 1)
+            terms.append((k, u, us[j], m.bit_length() - 1))
+    if doubly & ~seen:
         raise ExtractionUnsupportedError(
-            f"element {extra!r} is outside the canonical block of rank set "
-            f"{ordered}")
-    terms = list(zip(ordered, _unrank_ascending(n, ordered)))
-    links = list(zip(pos, pos[1:len(chain)]))
-    glued = [(pos[u[i]], c, pos[u[j]])
-             for c, (_, (i, j)) in zip(pos[len(chain):], terms)]
-    expected = (links + [(lo, c) for lo, c, _ in glued]
-                + [(c, hi) for _, c, hi in glued])
-    if sorted(expected) != list(p._covers):
-        for lo, hi in links:
-            if not p._upper[lo] >> hi & 1:
-                raise ExtractionUnsupportedError(
-                    f"base chain is broken between {p.name_of(lo)!r} "
-                    f"and {p.name_of(hi)!r}")
-        for (k, (i, j)), (lo, c, hi) in zip(terms, glued):
-            if p._lower[c] != 1 << lo or p._upper[c] != 1 << hi:
-                raise ExtractionUnsupportedError(
-                    f"'c{k}' is not glued between u{i} and u{j}")
-    return tuple(chain), terms
+            f"element {p.name_of((doubly & ~seen).bit_length() - 1)!r} does "
+            "not sit between two reducibles")
+    reading = p._cache["reading"] = (n, mask, tuple(chain), tuple(terms))
+    return reading

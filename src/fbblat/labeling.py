@@ -62,24 +62,6 @@ def unrank(n, k):
     return n - s, n - after + s * (s - 1) // 2
 
 
-def _unrank_ascending(n, labels):
-    """[unrank(n, k) for k in labels] for labels in ascending order, in one
-    walk over the blocks S_1..S_{n-1}: no square root per label."""
-    top = n * (n - 1) // 2
-    if labels and (labels[0] < 1 or labels[-1] > top):
-        bad = labels[0] if labels[0] < 1 else labels[-1]
-        raise ValueError(f"label {bad} outside J_N = 1..{top}")
-    out = []
-    i = 1
-    offset = -1  # rank(n, i, j) - j within block S_i
-    for k in labels:
-        while k > n + offset:  # past the last label of S_i
-            offset += n - i - 1
-            i += 1
-        out.append((i, k - offset))
-    return out
-
-
 def label_edges(g):
     """Label map for a subgraph of K_n, directed or not: each pair (i, j),
     i < j, of ``g.edges`` maps to rank(g.n, i, j); the map is injective with

@@ -5,8 +5,9 @@ from itertools, and lattice and reducibility checks from brute-force bound
 scans; none of these touches the package's kernels.  The kernel's earlier
 element-pair reducibility scan is kept as the reference for its class scan.
 The name-based block assembly and extraction are the package's earlier
-routines, kept as the reference for the index-based ones: they build and
-read posets through the public constructor and name lookups.  The counting references are the block
+routines, kept as the reference for index-based assembly and for extraction
+read from the order: they build and read posets through the public
+constructor and name lookups.  The counting references are the block
 recurrence as its literal triple sum and inclusion-exclusion over forced
 isolated-vertex sets, both from ``math.comb`` alone.
 """

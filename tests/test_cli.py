@@ -56,6 +56,15 @@ def test_fbb_rejects_uncovering_ranks(capsys):
     assert "u3" in err and "u4" in err
 
 
+@pytest.mark.parametrize("ranks,token", [("1,x", "x"), ("1-2-3", "1-2-3"),
+                                         ("1-x", "1-x")])
+def test_fbb_names_the_bad_rank_token(capsys, ranks, token):
+    code, _, err = run(capsys, "fbb", "--n", "4", "--ranks", ranks)
+    assert code == 2
+    assert err == (f"error: rank token {token!r} is neither a label nor an "
+                   "i-j pair\n")
+
+
 def test_pair_tokens_match_plain_ranks(capsys):
     _, plain, _ = run(capsys, "fbb", "--n", "4", "--ranks", "1,3,4,5",
                       "--format", "dot")
@@ -217,3 +226,39 @@ def test_verify_detects_injected_rank_fault(capsys, monkeypatch):
     assert code == 1
     assert "rank-round-trip n=3" in err
     assert "[FAIL] rank-round-trip n=3" in out
+
+
+@pytest.mark.parametrize("repeated", [False, True])
+def test_verify_names_the_cell_of_a_misassembled_block(capsys, monkeypatch,
+                                                        repeated):
+    # glue the last non-consecutive c_k one reducible lower, (i, j) -> (i,
+    # j - 1), where that pair is non-consecutive, u_j keeps another pair,
+    # and, per variant, (i, j - 1) is a new pair (another valid rank set, so
+    # phi's graph differs) or one the block already realizes (a repeated
+    # pair, which phi cannot read)
+    from fbblat import fbb
+
+    real = fbb._assemble
+
+    def misglued(n, ordered, pairs):
+        pairs = list(pairs)
+        last = max((t for t, (i, j) in enumerate(pairs) if j > i + 1),
+                   default=None)
+        if last is not None:
+            i, j = pairs.pop(last)
+            if (j - 1 > i + 1 and any(j in pair for pair in pairs)
+                    and ((i, j - 1) in pairs) == repeated):
+                j -= 1
+            pairs.insert(last, (i, j))
+        return real(n, ordered, pairs)
+
+    monkeypatch.setattr(fbb, "_assemble", misglued)
+    all_ok, checks = cli.run_verification(4)
+    failed = [(name, detail) for name, ok, detail in checks if not ok]
+    assert not all_ok and failed
+    assert all(name.startswith("equivalence n=4 l=") for name, _ in failed)
+    wanted = "is realized 2 times" if repeated else "phi round trip broke"
+    assert all(wanted in detail and "((1, " in detail for _, detail in failed)
+    code, _, err = run(capsys, "verify", "--max-n", "4")
+    assert code == 1
+    assert f"first failing check: {failed[0][0]}" in err

@@ -7,7 +7,7 @@ import pytest
 
 from fbblat.correspondence import phi, phi_inverse, verify_equivalence
 from fbblat.errors import UncoveredVertexError
-from fbblat.fbb import build_cf, build_fbb
+from fbblat.fbb import Fbb, build_cf, build_fbb
 from fbblat.graphs import DirectedLabeledGraph, enumerate_d, orient
 from fbblat.labeling import rank
 from fbblat.poset import classify, nullity
@@ -18,6 +18,12 @@ def test_phi_known_images():
     k4 = phi(build_cf(4))
     assert k4.arcs == tuple((i, j) for i in range(1, 4) for j in range(i + 1, 5))
     assert phi(build_fbb(2, {1})).arcs == ((1, 2),)
+
+
+def test_phi_reads_the_poset_not_the_stored_ranks():
+    # the stored ranks {1, 2, 3} disagree with the poset's, which phi reports
+    poset = build_fbb(4, {1, 3, 4, 5}).poset
+    assert phi(Fbb(4, frozenset({1, 2, 3}), poset)).ranks == (1, 3, 4, 5)
 
 
 def test_phi_inverse_known_images(f4_1345_expected):

@@ -8,14 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fbblat import _kernel
+from fbblat import _kernel, fbb
+from fbblat.correspondence import phi
 from fbblat.errors import (DisjointnessError, ExtractionUnsupportedError,
                            InvalidAdjunctPairError, UncoveredVertexError)
 from fbblat.fbb import (AdjunctTerm, CompleteFbb, Fbb,
                         adjunct, build_cf, build_fbb,
                         extract_adjunct_representation,
                         is_basic_block_universal, is_fundamental_basic_block)
-from fbblat.graphs import enumerate_d
+from fbblat.graphs import DirectedLabeledGraph, enumerate_d
 from fbblat.labeling import rank, unrank
 from fbblat.poset import (Poset, classify, is_dismantlable, is_lattice,
                           is_rc_lattice, nullity, remove_element)
@@ -305,6 +306,48 @@ def test_fundamental_predicate_rejects_broken_basic_block(cf4_expected):
     covers = list(cf4_expected.covers) + [("u4", "t")]
     spliced = Fbb(4, frozenset(range(1, 7)), Poset(names, covers))
     assert not is_fundamental_basic_block(spliced)
+
+
+def _renamed(p, prefix):
+    return Poset([prefix + x for x in p.names],
+                 [(prefix + a, prefix + b) for a, b in p.covers])
+
+
+def test_renamed_block_reads_from_its_order():
+    block = build_fbb(4, {1, 3, 4, 5})
+    renamed = Fbb(4, block.ranks, _renamed(block.poset, "e"))
+    assert is_fundamental_basic_block(renamed)
+    rep = extract_adjunct_representation(renamed)
+    assert rep.base_chain == ("eu1", "ex1", "eu2", "ex2", "eu3", "eu4")
+    assert rep.assemble() == renamed.poset
+    assert phi(renamed).arcs == ((1, 2), (1, 4), (2, 3), (2, 4))
+
+
+def test_repeated_adjunct_pair_is_not_fundamental():
+    # a second element between u1 and u3 realizes the pair (1, 3) twice
+    cf3 = build_cf(3).poset
+    p = Poset(list(cf3.names) + ["d"], list(cf3.covers) + [("u1", "d"), ("d", "u3")])
+    block = Fbb(3, frozenset({1, 2, 3}), p)
+    assert is_lattice(p) and is_rc_lattice(p) and is_basic_block_universal(p)
+    assert not is_fundamental_basic_block(block)
+    with pytest.raises(ExtractionUnsupportedError, match="realized 2 times"):
+        extract_adjunct_representation(block)
+
+
+def test_block_is_read_once(monkeypatch):
+    calls = []
+    real = fbb._order_scan
+
+    def counted(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(fbb, "_order_scan", counted)
+    block = build_fbb(5, {1, 5, 8, 10})
+    assert phi(block) == DirectedLabeledGraph.from_ranks(5, block.ranks)
+    assert extract_adjunct_representation(block).assemble() == block.poset
+    assert is_fundamental_basic_block(block)
+    assert calls == [block.poset]
 
 
 # -- index-based assembly and extraction against the name-based reference -------------

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from fbblat.errors import OrientationError
 from fbblat.graphs import DirectedLabeledGraph, LabeledGraph
-from fbblat.labeling import (MAX_N, _unrank_ascending, label_edges, pair_count,
-                             rank, unrank)
+from fbblat.labeling import MAX_N, label_edges, pair_count, rank, unrank
 
 from oracles import dict_pairs
 
@@ -110,22 +109,6 @@ def test_domain_errors(call):
 def test_rank_rejects_non_integer_vertices(i, j, shown):
     with pytest.raises(ValueError, match=rf"^pair {shown} is not a pair of integers$"):
         rank(4, i, j)
-
-
-def test_unrank_ascending_is_unrank_per_label():
-    for n in range(2, 40):
-        labels = range(1, comb(n, 2) + 1)
-        subsets = [list(labels), [], [labels[-1]], list(labels[::3]),
-                   [k for k in labels if k % 5 in (1, 4)]]
-        for ordered in subsets:
-            assert (_unrank_ascending(n, ordered)
-                    == [unrank(n, k) for k in ordered]), f"n={n} {ordered}"
-
-
-@pytest.mark.parametrize("ordered,bad", [([0, 3], 0), ([2, 11], 11)])
-def test_unrank_ascending_range(ordered, bad):
-    with pytest.raises(ValueError, match=rf"^label {bad} outside J_N = 1\.\.10$"):
-        _unrank_ascending(5, ordered)
 
 
 def test_label_edges_complete_graph():
