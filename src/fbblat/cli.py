@@ -12,7 +12,6 @@ import sys
 from math import comb
 
 from . import correspondence, counting, fbb, labeling, poset, render
-from .render import RenderSpec
 
 
 def _parse_ranks(text, n):
@@ -33,26 +32,6 @@ def _parse_ranks(text, n):
     return frozenset(ranks)
 
 
-def _render_poset(p, spec):
-    if spec.format == "json":
-        return render.poset_to_json(p)
-    if spec.format == "dot":
-        return render.poset_to_dot(p)
-    if spec.format == "text":
-        return render.poset_to_text(p)
-    raise ValueError(f"format {spec.format!r} not valid for posets")
-
-
-def _render_graph(g, spec):
-    if spec.format == "json":
-        return render.graph_to_json(g)
-    if spec.format == "dot":
-        return render.graph_to_dot(g)
-    if spec.format == "text":
-        return render.graph_to_text(g)
-    raise ValueError(f"format {spec.format!r} not valid for graphs")
-
-
 # -- command handlers (return process exit codes) -------------------------------
 
 
@@ -68,22 +47,21 @@ def _cmd_unrank(args):
 
 
 def _cmd_cf(args):
-    spec = RenderSpec(args.format, args.output)
-    spec.write(_render_poset(fbb.build_cf(args.n).poset, spec))
+    p = fbb.build_cf(args.n).poset
+    render.write(render.POSET_RENDERERS[args.format](p), args.output)
     return 0
 
 
 def _cmd_fbb(args):
-    spec = RenderSpec(args.format, args.output)
     block = fbb.build_fbb(args.n, _parse_ranks(args.ranks, args.n))
-    spec.write(_render_poset(block.poset, spec))
+    render.write(render.POSET_RENDERERS[args.format](block.poset), args.output)
     return 0
 
 
 def _cmd_graph_of(args):
-    spec = RenderSpec(args.format, args.output)
     block = fbb.build_fbb(args.n, _parse_ranks(args.ranks, args.n))
-    spec.write(_render_graph(correspondence.phi(block), spec))
+    g = correspondence.phi(block)
+    render.write(render.GRAPH_RENDERERS[args.format](g), args.output)
     return 0
 
 
@@ -93,8 +71,8 @@ def _cmd_count(args):
 
 
 def _cmd_table(args):
-    spec = RenderSpec(args.format, args.output)
-    spec.write(counting.emit_triangle(args.kind, args.max_n, args.format))
+    render.write(counting.emit_triangle(args.kind, args.max_n, args.format),
+                 args.output)
     return 0
 
 
@@ -143,11 +121,13 @@ def _check_cf_structure(n):
         problems.append(f"|covers| = {len(p.covers)}")
     if poset.nullity(p) != top:
         problems.append(f"nullity = {poset.nullity(p)}")
-    for name, pred in (("lattice", poset.is_lattice),
-                       ("rc", poset.is_rc_lattice),
-                       ("dismantlable", poset.is_dismantlable)):
-        if not pred(p):
-            problems.append(f"not {name}")
+    if not poset.is_lattice(p):  # RC and dismantlability need a lattice
+        problems.append("not lattice")
+    else:
+        for name, pred in (("rc", poset.is_rc_lattice),
+                           ("dismantlable", poset.is_dismantlable)):
+            if not pred(p):
+                problems.append(f"not {name}")
     if not fbb.is_basic_block_universal(p):
         problems.append("not a basic block")
     if not fbb.is_fundamental_basic_block(block):
@@ -168,34 +148,40 @@ def _check_triangle(n):
     return True, f"d = oracle = f for q = 0..{top + 1}"
 
 
+def _check_equivalence(n, l, enum_cap):
+    report = correspondence.verify_equivalence(n, l, cap=enum_cap)
+    return report.ok, report.summary().replace("\n", " ")
+
+
 def run_verification(max_n, enum_cap=6):
     """The full invariant suite; returns (all_ok, checks) with one
-    (name, ok, detail) triple per check."""
+    (name, ok, detail) triple per check.  An internal cross-check that
+    raises RuntimeError fails the check it ran in, with its message."""
     if max_n < 2:
         raise ValueError(f"verify needs max_n >= 2, got {max_n}")
     checks = []
+
+    def run(name, check, *args):
+        try:
+            ok, detail = check(*args)
+        except RuntimeError as exc:
+            ok, detail = False, str(exc)
+        checks.append((name, ok, detail))
+
     for n in range(2, max_n + 1):
-        ok, detail = _check_rank_round_trip(n)
-        checks.append((f"rank-round-trip n={n}", ok, detail))
-        ok, detail = _check_cf_structure(n)
-        checks.append((f"cf-structure n={n}", ok, detail))
-        ok, detail = _check_triangle(n)
-        checks.append((f"count-agreement n={n}", ok, detail))
+        run(f"rank-round-trip n={n}", _check_rank_round_trip, n)
+        run(f"cf-structure n={n}", _check_cf_structure, n)
+        run(f"count-agreement n={n}", _check_triangle, n)
         if n <= enum_cap:
             for l in range(comb(n, 2) + 1):
-                report = correspondence.verify_equivalence(n, l, cap=enum_cap)
-                checks.append((f"equivalence n={n} l={l}", report.ok,
-                               report.summary().replace("\n", " ")))
+                run(f"equivalence n={n} l={l}", _check_equivalence, n, l,
+                    enum_cap)
     return all(ok for _, ok, _ in checks), checks
 
 
 def _cmd_verify(args):
     all_ok, checks = run_verification(args.max_n, args.enum_cap)
-    spec = RenderSpec(args.format, args.output)
-    if spec.format == "json":
-        spec.write(render.report_to_json(checks))
-    else:
-        spec.write(render.report_to_text(checks))
+    render.write(render.REPORT_RENDERERS[args.format](checks), args.output)
     if not all_ok:
         first = next(name for name, ok, _ in checks if not ok)
         print(f"verification failed, first failing check: {first}",
@@ -232,20 +218,20 @@ def build_parser():
 
     p = sub.add_parser("cf", help="the complete fundamental basic block CF(n)")
     p.add_argument("--n", type=int, required=True)
-    add_output(p, ("dot", "json", "text"), "text")
+    add_output(p, render.POSET_RENDERERS, "text")
     p.set_defaults(handler=_cmd_cf)
 
     p = sub.add_parser("fbb", help="fundamental basic block from a rank set")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--ranks", required=True,
                    help="comma-separated labels; `i-j` tokens name pairs")
-    add_output(p, ("dot", "json", "text"), "text")
+    add_output(p, render.POSET_RENDERERS, "text")
     p.set_defaults(handler=_cmd_fbb)
 
     p = sub.add_parser("graph-of", help="the digraph of a fundamental basic block")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--ranks", required=True)
-    add_output(p, ("dot", "json", "text"), "text")
+    add_output(p, render.GRAPH_RENDERERS, "text")
     p.set_defaults(handler=_cmd_graph_of)
 
     p = sub.add_parser("count", help="one exact count")
@@ -264,7 +250,7 @@ def build_parser():
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--enum-cap", type=int, default=6,
                    help="largest n verified by exhaustive enumeration")
-    add_output(p, ("text", "json"), "text")
+    add_output(p, render.REPORT_RENDERERS, "text")
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("diff-bfile", help="compare a b-file against a triangle")

@@ -18,7 +18,7 @@ from . import counting, graphs
 from .errors import ExtractionUnsupportedError, UncoveredVertexError
 from .fbb import _reading, build_fbb, is_fundamental_basic_block
 from .graphs import DirectedLabeledGraph, orient
-from .poset import _order_scan, nullity
+from .poset import nullity
 
 
 def phi(f):
@@ -96,10 +96,6 @@ def verify_equivalence(n, l, cap=graphs.DEFAULT_ENUM_CAP):
             record(f"phi_inverse({dg.arcs}) is not a fundamental basic block")
         if nullity(f.poset) != l:
             record(f"phi_inverse({dg.arcs}) has nullity {nullity(f.poset)}, wanted {l}")
-        _, jr, mr, _ = _order_scan(f.poset)
-        reducibles = (jr | mr).bit_count()
-        if reducibles != n:
-            record(f"phi_inverse({dg.arcs}) has {reducibles} reducibles, wanted {n}")
     count_d = counting.count_d(n, l)
     count_f = counting.count_f(n, l)
     if len(members) != count_d:

@@ -2,16 +2,16 @@
 
 The cover list is the stored truth; comparability, lattice-ness, nullity,
 reducibility and dismantlability are all derived from it on demand.  The
-constructor rejects transitively implied covers, so the stored index pairs
-are exactly the cover relation.  It stores that relation twice: as the
-sorted index pairs, which equality and rendering read, and as per-element
-lower and upper cover masks, built once, which the kernels read.
-Lattice-ness and reducibility come from one kernel scan per poset, cached
-as element masks; the predicates decide on those masks, and only
-``classify`` turns them into element names.  Elements
-carry canonical string names ("u3", "x2", "c5", ...) and two posets compare
-equal when they have the same names and the same cover relation on names --
-the structural stand-in for isomorphism of canonically named objects.
+constructor rejects transitively implied covers, so what it stores is
+exactly the cover relation, once: per-element lower and upper cover masks,
+built once, which the kernels read.  Cover pairs, for equality, hashing and
+rendering, are read off the upper masks in element order, which is sorted
+index order.  Lattice-ness and reducibility come from one kernel scan per
+poset, cached as element masks; the predicates decide on those masks, and
+only ``classify`` turns them into element names.  Elements carry canonical
+string names ("u3", "x2", "c5", ...) and two posets compare equal when they
+have the same names and the same cover relation on names -- the structural
+stand-in for isomorphism of canonically named objects.
 
 All values are immutable after construction and every operation is a pure
 function, so instances can be shared freely across threads.
@@ -50,8 +50,8 @@ class _IndexPairs(tuple):
 
 
 class Poset:
-    __slots__ = ("_names", "_index", "_covers", "_up", "_down", "_lower",
-                 "_upper", "_cache")
+    __slots__ = ("_names", "_index", "_up", "_down", "_lower", "_upper",
+                 "_cache")
 
     def __init__(self, names, covers):
         names = tuple(names)
@@ -78,7 +78,6 @@ class Poset:
                     f"cover ({a}, {b}) indexes outside the {size} elements")
             if a == b:
                 raise MalformedPosetError(f"self-cover on {names[a]!r}")
-        pairs = tuple(sorted(set(pairs)))
         try:
             up, down = _kernel.closure(size, pairs)
         except ValueError as exc:
@@ -93,7 +92,6 @@ class Poset:
             lower[b] |= 1 << a
         self._names = names
         self._index = index
-        self._covers = pairs
         self._up = tuple(up)
         self._down = tuple(down)
         self._lower = tuple(lower)
@@ -131,10 +129,16 @@ class Poset:
     def names(self):
         return self._names
 
+    def _index_covers(self):
+        """Cover relation as (lower, upper) index pairs, in element order."""
+        return tuple((a, b) for a, above in enumerate(self._upper)
+                     for b in _kernel._bits(above))
+
     @property
     def covers(self):
         """Cover relation as (lower, upper) name pairs."""
-        return tuple((self._names[a], self._names[b]) for a, b in self._covers)
+        names = self._names
+        return tuple((names[a], names[b]) for a, b in self._index_covers())
 
     def __len__(self):
         return len(self._names)
@@ -185,8 +189,8 @@ class Poset:
     def __eq__(self, other):
         if not isinstance(other, Poset):
             return NotImplemented
-        if self._names == other._names:  # same order: the index covers decide
-            return self._covers == other._covers
+        if self._names == other._names:  # same order: the cover masks decide
+            return self._upper == other._upper
         return (set(self._names) == set(other._names)
                 and set(self.covers) == set(other.covers))
 
@@ -194,7 +198,8 @@ class Poset:
         return hash((frozenset(self._names), frozenset(self.covers)))
 
     def __repr__(self):
-        return f"Poset({len(self)} elements, {len(self._covers)} covers)"
+        covers = sum(above.bit_count() for above in self._upper)
+        return f"Poset({len(self)} elements, {covers} covers)"
 
 
 # -- module operations --------------------------------------------------------

@@ -1,9 +1,12 @@
 """Serializers for posets, digraphs and verification reports.
 
 Formats are byte-deterministic: element order comes from the poset itself,
-covers in the poset's stored order (sorted by element index), arcs in ascending label order (which is also
+covers in element index order, arcs in ascending label order (which is also
 dictionary order of the pairs), and JSON uses a fixed layout.  DOT output
-is text only; rendering is the caller's toolchain.
+is text only; rendering is the caller's toolchain.  A block's DOT nodes
+carry their level on its reducible chain, read from its order, not from
+element names.  Each kind of object has one table of renderers by format,
+whose keys are the formats the command line offers.
 
 JSON schemas:
     poset   {"elements": [{"id": int, "name": str}], "covers": [[lo, hi]]}
@@ -14,85 +17,50 @@ JSON schemas:
 from __future__ import annotations
 
 import json
-import re
 import sys
-from dataclasses import dataclass
 
-from .labeling import unrank
-
-_FORMATS = ("dot", "json", "csv", "text")
-
-
-@dataclass(frozen=True)
-class RenderSpec:
-    """Requested output format plus destination (None = standard output)."""
-
-    format: str
-    output: str | None = None
-
-    def __post_init__(self):
-        if self.format not in _FORMATS:
-            raise ValueError(
-                f"format must be one of {_FORMATS}, got {self.format!r}")
-
-    def write(self, text):
-        if self.output is None:
-            sys.stdout.write(text)
-        else:
-            with open(self.output, "w", encoding="ascii") as handle:
-                handle.write(text)
+from .errors import ExtractionUnsupportedError
+from .fbb import _reading
+from .poset import _order_scan
 
 
-_NAME_RE = re.compile(r"^([uxc])(\d+)$")
+def write(text, path):
+    """Write ``text`` to the file ``path``, or to standard output if None."""
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        with open(path, "w", encoding="ascii") as handle:
+            handle.write(text)
 
 
 def _chain_levels(p):
-    """name -> u-chain level for canonically named block posets, else None.
-
-    u_i and x_i sit at level i; c_k sits at the level of its lower reducible.
-    """
-    parsed = {}
-    n = 0
-    for name in p.names:
-        m = _NAME_RE.match(name)
-        if not m:
-            return None
-        parsed[name] = (m.group(1), int(m.group(2)))
-        if m.group(1) == "u":
-            n = max(n, int(m.group(2)))
-    if n < 2:
+    """Level of each element by index if ``p`` reads as a block, else None:
+    the reducibles at or below it, so u_i and x_i sit at level i, and c_k at
+    the level of its lower reducible."""
+    try:
+        _reading(p)
+    except ExtractionUnsupportedError:
         return None
-    levels = {}
-    for name, (kind, num) in parsed.items():
-        if kind in ("u", "x"):
-            levels[name] = num
-        else:
-            try:
-                levels[name] = unrank(n, num)[0]
-            except ValueError:
-                return None
-    return levels
-
-
-def poset_json_obj(p):
-    return {
-        "elements": [{"id": i, "name": name} for i, name in enumerate(p.names)],
-        "covers": [list(pair) for pair in p._covers],
-    }
+    _, jr, mr, _ = _order_scan(p)
+    return [((down | 1 << e) & (jr | mr)).bit_count()
+            for e, down in enumerate(p._down)]
 
 
 def poset_to_json(p):
-    return json.dumps(poset_json_obj(p), indent=2) + "\n"
+    return json.dumps({
+        "elements": [{"id": i, "name": name} for i, name in enumerate(p.names)],
+        "covers": [list(pair) for pair in p._index_covers()],
+    }, indent=2) + "\n"
 
 
 def poset_to_dot(p, name="poset"):
     """Hasse diagram as a DOT digraph, covers drawn lower -> upper."""
     levels = _chain_levels(p)
     lines = [f"digraph {name} {{", "  rankdir=BT;", "  node [shape=circle];"]
-    for element in p.names:
+    for i, element in enumerate(p.names):
         attrs = f'label="{element}"'
         if levels is not None:
-            attrs += f' rank="{levels[element]}"'
+            attrs += f' rank="{levels[i]}"'
         lines.append(f'  "{element}" [{attrs}];')
     for lo, hi in p.covers:
         lines.append(f'  "{lo}" -> "{hi}";')
@@ -110,15 +78,11 @@ def poset_to_text(p):
     return "\n".join(lines) + "\n"
 
 
-def graph_json_obj(dg):
-    return {
+def graph_to_json(dg):
+    return json.dumps({
         "n": dg.n,
         "arcs": [[i, j, k] for (i, j), k in zip(dg.arcs, dg.ranks)],
-    }
-
-
-def graph_to_json(dg):
-    return json.dumps(graph_json_obj(dg), indent=2) + "\n"
+    }, indent=2) + "\n"
 
 
 def graph_to_dot(dg, name="graph_of"):
@@ -138,15 +102,12 @@ def graph_to_text(dg):
     return "\n".join(lines) + "\n"
 
 
-def report_json_obj(checks):
-    return {"checks": [{"name": name,
-                        "status": "pass" if ok else "fail",
-                        "detail": detail}
-                       for name, ok, detail in checks]}
-
-
 def report_to_json(checks):
-    return json.dumps(report_json_obj(checks), indent=2) + "\n"
+    return json.dumps({"checks": [{"name": name,
+                                   "status": "pass" if ok else "fail",
+                                   "detail": detail}
+                                  for name, ok, detail in checks]},
+                      indent=2) + "\n"
 
 
 def report_to_text(checks):
@@ -157,3 +118,11 @@ def report_to_text(checks):
     passed = sum(1 for _, ok, _ in checks if ok)
     lines.append(f"{passed}/{len(checks)} checks passed")
     return "\n".join(lines) + "\n"
+
+
+# Key order is the order the command line lists the formats in.
+POSET_RENDERERS = {"dot": poset_to_dot, "json": poset_to_json,
+                   "text": poset_to_text}
+GRAPH_RENDERERS = {"dot": graph_to_dot, "json": graph_to_json,
+                   "text": graph_to_text}
+REPORT_RENDERERS = {"text": report_to_text, "json": report_to_json}

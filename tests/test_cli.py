@@ -6,7 +6,9 @@ import re
 
 import pytest
 
-from fbblat import cli
+from fbblat import _kernel, cli, counting, render
+from fbblat.fbb import build_fbb
+from fbblat.poset import Poset
 
 from conftest import GOLDEN_DIR
 
@@ -112,6 +114,21 @@ def test_golden_content_details():
     payload = json.loads((GOLDEN_DIR / "fbb_n4_r1345.json").read_text())
     names = {e["name"] for e in payload["elements"]}
     assert names == {"u1", "u2", "u3", "u4", "x1", "x2", "c1", "c3", "c4", "c5"}
+
+
+_DOT_NODE = re.compile(r'^  "(\w+)" \[label="\w+"(?: rank="(\d+)")?\];$', re.M)
+
+
+def test_dot_levels_come_from_the_order_not_the_names():
+    p = build_fbb(4, {1, 3, 4, 5}).poset
+    renamed = Poset(["b" + name for name in p.names],
+                    [("b" + lo, "b" + hi) for lo, hi in p.covers])
+    golden = dict(_DOT_NODE.findall((GOLDEN_DIR / "fbb_n4_r1345.dot").read_text()))
+    assert len(golden) == len(p) and all(golden.values())
+    assert (dict(_DOT_NODE.findall(render.poset_to_dot(renamed)))
+            == {"b" + name: level for name, level in golden.items()})
+    chain = render.poset_to_dot(Poset.chain(["u1", "u2"]))
+    assert dict(_DOT_NODE.findall(chain)) == {"u1": "", "u2": ""}
 
 
 def test_commands_are_deterministic(capsys):
@@ -262,3 +279,67 @@ def test_verify_names_the_cell_of_a_misassembled_block(capsys, monkeypatch,
     code, _, err = run(capsys, "verify", "--max-n", "4")
     assert code == 1
     assert f"first failing check: {failed[0][0]}" in err
+
+
+# -- fault-injection matrix: a one-line defect in a fast path fails verify,
+# exit 1, naming the first broken check ----------------------------------------------
+
+def _drop_bottom_below_top(result, n, covers):
+    up, down = result
+    if n >= 9:
+        bottom, top = down.index(0), up.index(0)
+        up[bottom] &= ~(1 << top)
+        down[top] &= ~(1 << bottom)
+    return up, down
+
+
+def _kernel_fault(name, fault):
+    """Install ``fault(result, *args)`` around ``_kernel.<name>``."""
+    def install(monkeypatch):
+        real = getattr(_kernel, name)
+        monkeypatch.setattr(_kernel, name,
+                            lambda *args: fault(real(*args), *args))
+    return install
+
+
+def _count_row_fault(table):
+    """Fill count tables of their own (the real ones come back afterwards)
+    and put the (4, 3) entry of ``table`` off by one."""
+    def install(monkeypatch):
+        for name in ("_d_rows", "_f_rows", "_p_rows"):
+            monkeypatch.setattr(counting, name, getattr(counting, name)[:2])
+        counting.count_d(4, 0)
+        counting.count_f(4, 0)
+        getattr(counting, table)[4][3] += 1
+    return install
+
+
+@pytest.mark.parametrize("install,first,detail", [
+    (_kernel_fault("reducibility", lambda r, *_: (False, r[1], r[2])),
+     "cf-structure n=2", "not lattice; not a fundamental basic block"),
+    (_kernel_fault("reducibility",  # trips the cover-count cross-check
+                   lambda r, *_: (r[0], r[1] & (r[1] - 1), r[2])),
+     "cf-structure n=2", "internal error: definitional and cover-count "
+     "reducibility disagree on Poset(4 elements, 4 covers)"),
+    (_kernel_fault("closure", _drop_bottom_below_top),
+     "cf-structure n=4", "not lattice; not a fundamental basic block"),
+    (_kernel_fault("basic_block_universal", lambda *_: False),
+     "cf-structure n=2", "not a basic block; not a fundamental basic block"),
+    (_kernel_fault("induced_nullity_parts",
+                   lambda r, n, *_: (r[0] + (n >= 6), r[1])),
+     "cf-structure n=3", "nullity = 4"),
+    (_kernel_fault("unisolated_masks",
+                   lambda r, nv, q: r[1:] if (nv, q) == (4, 4) else r),
+     "equivalence n=4 l=4", "n=4 l=4: enumerated=14 d=15 f=15 [MISMATCH]"),
+    (_count_row_fault("_d_rows"),
+     "count-agreement n=4", "d(4,3) disagrees with inclusion-exclusion"),
+    (_count_row_fault("_f_rows"), "count-agreement n=4", "f(4,3) != d(4,3)"),
+], ids=["lattice-flag", "join-reducible-bit", "closure", "basic-block",
+        "nullity", "unisolated-masks", "count-d", "count-f"])
+def test_verify_names_the_first_check_a_fault_breaks(capsys, monkeypatch,
+                                                     install, first, detail):
+    install(monkeypatch)
+    code, out, err = run(capsys, "verify", "--max-n", "4")
+    assert code == 1
+    assert err == f"verification failed, first failing check: {first}\n"
+    assert f"[FAIL] {first}: {detail}" in out

@@ -65,7 +65,8 @@ def test_index_constructor_matches_name_constructor():
     p = Poset.from_covers(CF4_COVER_LIST)
     pairs = [(p.index_of(a), p.index_of(b)) for a, b in CF4_COVER_LIST]
     q = Poset._from_index_covers(p.names, pairs[::-1] + pairs[:3])
-    assert (q.names, q._covers, q._up, q._down) == (p.names, p._covers, p._up, p._down)
+    assert ((q.names, q._index_covers(), q._up, q._down)
+            == (p.names, p._index_covers(), p._up, p._down))
 
 
 # -- transitive order -----------------------------------------------------------

@@ -46,7 +46,7 @@ def _assert_matches_oracles(label, names, covers):
     up, down = _kernel.closure(n, pairs)
     where = f"{label}: {n} elements, covers {sorted(covers)}"
     p = Poset(names, covers)
-    assert p._covers == tuple(pairs), where
+    assert p._index_covers() == tuple(sorted(set(pairs))), where
     for i, x in enumerate(names):  # cover sets, in element index order
         assert p.upper_covers(x) == tuple(names[b] for a, b in pairs if a == i), where
         assert p.lower_covers(x) == tuple(names[a] for a, b in pairs if b == i), where
