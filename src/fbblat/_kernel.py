@@ -102,81 +102,87 @@ def _least_of(subset, up, down):
     return -1
 
 
-def _bound_scan(up, down):
-    """(mask of least elements, whether every set has one) over the distinct
-    sets ``up[i] & up[j]`` of incomparable i, j.  Read with ``down`` and
-    ``up`` swapped, it gives the greatest elements of the lower-bound sets.
+def _two_bounded_by(covers, masks, target):
+    """Whether two distinct members a, b of ``covers`` have
+    ``masks[a] & masks[b] == target``."""
+    while covers:
+        low = covers & -covers
+        covers ^= low
+        mine = masks[low.bit_length() - 1]
+        rest = covers
+        while rest:
+            other = rest & -rest
+            if mine & masks[other.bit_length() - 1] == target:
+                return True
+            rest ^= other
+    return False
 
-    The scan visits classes of elements with equal up-set, not element
-    pairs.  Two members of one class are incomparable (i < j would put j in
-    up[i] but not in up[j]), so a class A of two or more members meets the
-    bound set U_A they share.  For i in A and j in another class B, i < j
-    iff j is in U_A and j < i iff i is in U_B, so j is incomparable to some
-    member of A iff j lies outside U_A and outside D_A, the down-set common
-    to A's members, and every such pair has the bound set U_A & U_B.  So A
-    visits once each later class that meets the complement of U_A | D_A,
-    and clears that class's members from the candidates.
+
+def _joins_of_covers(covers, up, down, resolved):
+    """Whether every two distinct members of ``covers``, the upper covers
+    of one element, have a join; ``resolved`` collects the upper-bound sets
+    already found to have a least element."""
+    while covers:
+        low = covers & -covers
+        covers ^= low
+        mine = up[low.bit_length() - 1]
+        rest = covers
+        while rest:
+            other = rest & -rest
+            rest ^= other
+            bounds = mine & up[other.bit_length() - 1]
+            if bounds not in resolved:
+                if _least_of(bounds, up, down) < 0:
+                    return False
+                resolved.add(bounds)
+    return True
+
+
+def reducibility(n, up, down, lower, upper):
+    """(is_lattice, join_reducible, meet_reducible) masks, read from the
+    order masks ``up``/``down`` at the cover masks ``lower``/``upper``.
+
+    Two distinct upper covers a, b of one element are incomparable, so their
+    common upper bounds are ``up[a] & up[b]``; dually for lower covers.
+
+    *Lattice test.*  The poset is a lattice iff it has exactly one minimal
+    element and every two distinct upper covers of a common element have a
+    join.  Necessity is clear.  Conversely, the minimal element is then the
+    bottom, so any x, y have a common lower bound; take one, w, of greatest
+    height.  If w is x or y, the other is the join.  Otherwise pick covers
+    w < x' <= x and w < y' <= y.  They are distinct by the choice of w, so
+    j = x' v y' exists.  The pairs (x, j) and then (x v j, y) have common
+    lower bounds x' and y' above w's height, so by induction on that height,
+    from the greatest down, their joins exist, and the second join is x v y
+    (every upper bound of x and y lies above x' and y', so above j).  A
+    finite poset with a bottom and all joins is a lattice: the meet of a
+    pair is the join of its lower bounds, which include the bottom.
+
+    *Reducibility.*  x is join-reducible (x = y v z with y, z both distinct
+    from x) iff two distinct lower covers a, b of x have
+    ``up[a] & up[b] == up[x] | 1 << x``.  If x = y v z, replace y and then z
+    by lower covers of x above them.  The common upper bounds stay x and
+    the elements above it, and the two covers differ, since a cover's join
+    with itself is not x.  The converse is the definition.
+    Meet-reducibility is the dual over upper covers and ``down``.  Both
+    hold in every finite poset, so the masks are exact on non-lattices too;
+    the lattice test alone stops at its first missing join.  On a lattice
+    every two distinct lower covers of x join to x, so the first pair
+    decides.
     """
-    classes = {}
-    owner = []  # owner[j]: [members, D, U] of j's class
-    for i, u in enumerate(up):
-        c = classes.get(u)
-        if c is None:
-            c = classes[u] = [1 << i, down[i], u]
-        else:
-            c[0] |= 1 << i
-            c[1] &= down[i]
-        owner.append(c)
-    bounds = set()
-    rest = (1 << len(up)) - 1  # members of the classes not yet visited from
-    for members, below, shared in classes.values():
-        rest ^= members
-        if members & (members - 1):
-            bounds.add(shared)
-        cand = rest & ~(shared | below)
-        while cand:
-            theirs, _, other = owner[(cand & -cand).bit_length() - 1]
-            cand &= ~theirs
-            bounds.add(shared & other)
-    least = 0
-    resolved = True
-    for m in bounds:
-        u = _least_of(m, up, down)
-        if u < 0:
-            resolved = False
-        else:
-            least |= 1 << u
-    return least, resolved
-
-
-def reducibility(n, up, down):
-    """(is_lattice, join_reducible, meet_reducible) from one scan of the
-    distinct bound sets of incomparable pairs on each side.
-
-    x is join-reducible iff x = y v z for some y, z both distinct from x.
-    Comparable pairs have one of themselves as join and meet, so only
-    incomparable pairs can produce such an x, and for those the common upper
-    bounds are ``up[i] & up[j]`` (neither i nor j is among them).  That set
-    depends on i and j only through their up-sets, so ``_bound_scan``
-    groups the elements into classes of equal up-set and visits class pairs
-    instead of element pairs: a class pair yields the bound set U_A & U_B
-    whichever of its incomparable element pairs is taken, and it is visited
-    iff it holds one.  So the scan meets exactly the bound sets the
-    element-pair scan meets, and the masks are the same bit for bit.  The
-    lower-bound sets are scanned the same way over classes of equal
-    down-set.  Each distinct set of common upper (lower) bounds is resolved
-    to its least (greatest) element once.
-
-    A finite poset with a single minimal element (its bottom) is a lattice
-    iff every pair has a join (Davey & Priestley): the meet of a pair is then
-    the join of its nonempty set of lower bounds.  So the poset is a lattice
-    iff it has one minimal element and every upper-bound set the scan meets
-    has a least element.  The scan runs to the end on non-lattices too, so
-    the masks hold for every poset.
-    """
-    jr, joins = _bound_scan(up, down)
-    mr, _ = _bound_scan(down, up)
-    lattice = joins and down.count(0) <= 1
+    lattice = down.count(0) <= 1
+    resolved = set()
+    jr = mr = 0
+    for x in range(n):
+        bit = 1 << x
+        below, above = lower[x], upper[x]
+        if below & (below - 1) and _two_bounded_by(below, up, up[x] | bit):
+            jr |= bit
+        if above & (above - 1):
+            if _two_bounded_by(above, down, down[x] | bit):
+                mr |= bit
+            if lattice:
+                lattice = _joins_of_covers(above, up, down, resolved)
     return lattice, jr, mr
 
 

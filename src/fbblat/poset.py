@@ -226,8 +226,8 @@ def _order_scan(p):
     scan = p._cache.get("scan")
     if scan is None:
         n = len(p)
-        lattice, jr, mr = _kernel.reducibility(n, p._up, p._down)
         lower, upper = p._lower, p._upper
+        lattice, jr, mr = _kernel.reducibility(n, p._up, p._down, lower, upper)
         jr_covers = mr_covers = 0
         for i in range(n):
             if lower[i].bit_count() > 1:

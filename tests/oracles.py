@@ -3,7 +3,8 @@
 Order closure and component counts come from networkx, subset enumeration
 from itertools, and lattice and reducibility checks from brute-force bound
 scans; none of these touches the package's kernels.  The kernel's earlier
-element-pair reducibility scan is kept as the reference for its class scan.
+element-pair reducibility scan, over every incomparable pair, is kept as
+the reference for the kernel that reads only each element's covers.
 The name-based block assembly and extraction are the package's earlier
 routines, kept as the reference for index-based assembly and for extraction
 read from the order: they build and read posets through the public

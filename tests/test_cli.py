@@ -321,8 +321,9 @@ def _count_row_fault(table):
                    lambda r, *_: (r[0], r[1] & (r[1] - 1), r[2])),
      "cf-structure n=2", "internal error: definitional and cover-count "
      "reducibility disagree on Poset(4 elements, 4 covers)"),
+    # the lattice test reads the intact cover masks; RC sees the broken order
     (_kernel_fault("closure", _drop_bottom_below_top),
-     "cf-structure n=4", "not lattice; not a fundamental basic block"),
+     "cf-structure n=4", "not rc; not a fundamental basic block"),
     (_kernel_fault("basic_block_universal", lambda *_: False),
      "cf-structure n=2", "not a basic block; not a fundamental basic block"),
     (_kernel_fault("induced_nullity_parts",
@@ -331,11 +332,16 @@ def _count_row_fault(table):
     (_kernel_fault("unisolated_masks",
                    lambda r, nv, q: r[1:] if (nv, q) == (4, 4) else r),
      "equivalence n=4 l=4", "n=4 l=4: enumerated=14 d=15 f=15 [MISMATCH]"),
+    (_kernel_fault("unisolated_masks",  # the triangle on v1 v2 v3 leaves v4 out
+                   lambda r, nv, q: [0b1011] + r[1:] if (nv, q) == (4, 3) else r),
+     "equivalence n=4 l=3", "n=4 l=3: enumerated=16 d=16 f=16 [MISMATCH]   "
+     "phi_inverse(((1, 2), (1, 3), (2, 3))) has no block: digraph has "
+     "isolated vertices: v4"),
     (_count_row_fault("_d_rows"),
      "count-agreement n=4", "d(4,3) disagrees with inclusion-exclusion"),
     (_count_row_fault("_f_rows"), "count-agreement n=4", "f(4,3) != d(4,3)"),
 ], ids=["lattice-flag", "join-reducible-bit", "closure", "basic-block",
-        "nullity", "unisolated-masks", "count-d", "count-f"])
+        "nullity", "unisolated-masks", "isolated-vertex", "count-d", "count-f"])
 def test_verify_names_the_first_check_a_fault_breaks(capsys, monkeypatch,
                                                      install, first, detail):
     install(monkeypatch)

@@ -12,6 +12,8 @@ from fbblat.graphs import DirectedLabeledGraph, enumerate_d, orient
 from fbblat.labeling import rank
 from fbblat.poset import classify, nullity
 
+import oracles
+
 
 def test_phi_known_images():
     assert phi(build_fbb(4, {1, 3, 4, 5})).arcs == ((1, 2), (1, 4), (2, 3), (2, 4))
@@ -36,9 +38,28 @@ def test_phi_inverse_known_images(f4_1345_expected):
 
 
 def test_phi_inverse_rejects_isolated_vertex():
-    with pytest.raises(UncoveredVertexError) as err:
-        phi_inverse(DirectedLabeledGraph(3, [(1, 2)]))
-    assert err.value.vertices == (3,)
+    for n, arcs, isolated in ((3, [(1, 2)], (3,)),
+                              (4, [(1, 2), (1, 3), (2, 3)], (4,)),
+                              (4, [(1, 3), (3, 4)], (2,)),
+                              (5, [(2, 4), (3, 5)], (1,)),
+                              (1, [], (1,))):
+        with pytest.raises(UncoveredVertexError) as err:
+            phi_inverse(DirectedLabeledGraph(n, arcs))
+        assert err.value.vertices == isolated
+        assert str(err.value).endswith(
+            ", ".join(f"v{v}" for v in isolated))
+
+
+def test_phi_inverse_builds_what_build_fbb_builds():
+    # phi_inverse reads the labels off the edge mask; build_fbb validates
+    # and unranks them: the blocks must be the same, element order included
+    for n, ranks in oracles.valid_rank_sets(5):
+        got = phi_inverse(DirectedLabeledGraph.from_ranks(n, ranks))
+        want = build_fbb(n, ranks)
+        where = f"n={n} ranks={ranks}"
+        assert got == want, where
+        assert got.poset.names == want.poset.names, where
+        assert got.poset._upper == want.poset._upper, where
 
 
 def test_phi_round_trips_over_full_enumeration():

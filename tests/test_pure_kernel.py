@@ -11,13 +11,14 @@ removals, random posets of up to nine elements, non-lattices included, a
 complete block past one 64-bit word, and every edge count of K_1..K_7 plus a
 few of K_8.
 
-``reducibility`` scans classes of elements with equal up-set (down-set), so
-it is also held to the element-pair scan it replaced,
+``reducibility`` decides from each element's covers alone, so it is also
+held to the element-pair scan over every incomparable pair,
 ``oracles.reducibility_by_pair_scan``, mask for mask: on every poset above,
-on CF(2..14), on seeded blocks on 10-20 reducibles, on a chain and an
-antichain, and on random layered posets of up to 16 elements whose layers
-share covers, so that classes are large; those are checked against the
-brute-force lattice and reducibility oracles too, non-lattices included.
+on every naturally labeled poset of at most six elements, non-lattices
+included, on CF(2..14), on seeded blocks on 10-20 reducibles, on a chain
+and an antichain, and on random layered posets of up to 16 elements whose
+layers share covers, so that many elements have many covers; those are
+checked against the brute-force lattice and reducibility oracles too.
 """
 
 import random
@@ -58,7 +59,7 @@ def _assert_matches_oracles(label, names, covers):
     lower, upper = p._lower, p._upper
     edges, comps = _kernel.induced_nullity_parts(n, lower, upper)
     assert comps == oracles.component_count(names, covers), where
-    lattice, jr, mr = _kernel.reducibility(n, up, down)
+    lattice, jr, mr = _kernel.reducibility(n, up, down, lower, upper)
     assert (lattice, jr, mr) == oracles.reducibility_by_pair_scan(n, up, down), where
     assert lattice == oracles.is_lattice(names, covers), where
     join_red, meet_red = oracles.reducibility(names, covers)
@@ -120,7 +121,7 @@ def test_random_posets(poset):
 
 def _assert_matches_pair_scan(label, p):
     n, up, down = len(p), p._up, p._down
-    assert (_kernel.reducibility(n, up, down)
+    assert (_kernel.reducibility(n, up, down, p._lower, p._upper)
             == oracles.reducibility_by_pair_scan(n, up, down)), label
 
 
@@ -155,8 +156,10 @@ def test_reducibility_on_a_chain_and_an_antichain():
     antichain = Poset(names, [])
     for label, p in (("chain", chain), ("antichain", antichain)):
         _assert_matches_pair_scan(label, p)
-    assert _kernel.reducibility(12, chain._up, chain._down) == (True, 0, 0)
-    assert _kernel.reducibility(12, antichain._up, antichain._down) == (False, 0, 0)
+    assert _kernel.reducibility(12, chain._up, chain._down, chain._lower,
+                                chain._upper) == (True, 0, 0)
+    assert _kernel.reducibility(12, antichain._up, antichain._down,
+                                antichain._lower, antichain._upper) == (False, 0, 0)
 
 
 @st.composite
@@ -196,13 +199,54 @@ def _layered_posets(draw):
 def test_reducibility_on_layered_posets(poset):
     names, covers = poset
     p = Poset(names, covers)
-    lattice, jr, mr = _kernel.reducibility(len(p), p._up, p._down)
+    lattice, jr, mr = _kernel.reducibility(len(p), p._up, p._down, p._lower,
+                                           p._upper)
     where = f"{len(names)} elements, covers {sorted(covers)}"
     assert ((lattice, jr, mr)
             == oracles.reducibility_by_pair_scan(len(p), p._up, p._down)), where
     assert lattice == oracles.is_lattice(names, covers), where
     join_red, meet_red = oracles.reducibility(names, covers)
     assert (_names_of(jr, names), _names_of(mr, names)) == (join_red, meet_red), where
+
+
+def _naturally_labeled_posets(max_n):
+    """(n, up, down, lower, upper) masks of every poset on 1..max_n elements
+    whose index order is a linear extension, once each: the order closure of
+    every set of pairs i < j, de-duplicated by up-masks."""
+    for n in range(1, max_n + 1):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        seen = set()
+        for chosen in range(1 << len(pairs)):
+            above = [0] * n
+            for t, (i, j) in enumerate(pairs):
+                if chosen >> t & 1:
+                    above[i] |= 1 << j
+            up = [0] * n
+            for i in reversed(range(n)):  # every j above i is closed already
+                for j in _kernel._bits(above[i]):
+                    up[i] |= up[j] | 1 << j
+            up = tuple(up)
+            if up in seen:
+                continue
+            seen.add(up)
+            down = tuple(sum(1 << i for i in range(n) if up[i] >> j & 1)
+                         for j in range(n))
+            upper = tuple(sum(1 << j for j in _kernel._bits(up[i])
+                              if not up[i] & down[j]) for i in range(n))
+            lower = tuple(sum(1 << i for i in range(n) if upper[i] >> j & 1)
+                          for j in range(n))
+            yield n, up, down, lower, upper
+
+
+def test_reducibility_on_every_poset_of_up_to_six_elements():
+    posets = lattices = 0
+    for n, up, down, lower, upper in _naturally_labeled_posets(6):
+        got = _kernel.reducibility(n, up, down, lower, upper)
+        assert got == oracles.reducibility_by_pair_scan(n, up, down), up
+        posets += 1
+        lattices += got[0]
+    # naturally labeled posets on 1..6 elements: 1 + 2 + 7 + 40 + 357 + 4824
+    assert (posets, lattices) == (5231, 51)
 
 
 def test_complete_block_past_one_word():
