@@ -3,7 +3,7 @@
 The package builds fundamental basic blocks (RC-lattices whose doubly
 irreducible removals each drop the nullity by one, with distinct adjunct
 pairs), realizes the dictionary-order bijection between vertex pairs and edge
-labels, maps blocks to labeled digraphs without isolated vertices and back,
+labels, maps blocks to labeled graphs without isolated vertices and back,
 and verifies that the two counting recurrences and direct enumeration agree.
 """
 
@@ -37,7 +37,6 @@ from .errors import (
 from .fbb import (
     AdjunctRepresentation,
     AdjunctTerm,
-    CompleteFbb,
     Fbb,
     adjunct,
     build_cf,
@@ -48,7 +47,6 @@ from .fbb import (
 )
 from .graphs import (
     DEFAULT_ENUM_CAP,
-    DirectedLabeledGraph,
     GraphSequence,
     LabeledGraph,
     check_bounds,
@@ -77,10 +75,8 @@ __all__ = [
     "AdjunctTerm",
     "BFileDiff",
     "BFileMismatch",
-    "CompleteFbb",
     "CountTable",
     "DEFAULT_ENUM_CAP",
-    "DirectedLabeledGraph",
     "DisjointnessError",
     "EnumerationCapError",
     "EquivalenceReport",

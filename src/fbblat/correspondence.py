@@ -1,13 +1,14 @@
-"""The interval/arc dictionary between a block's reducible chain and the
-oriented complete graph, and the induced bijection F_n(l) <-> D(n, l).
+"""The interval/edge dictionary between a block's reducible chain and the
+complete graph, and the induced bijection F_n(l) <-> D(n, l).
 
 The dictionary psi sends the reducible u_i to the vertex v_i and the interval
-[u_i, u_j] to the arc (v_i, v_j), whose label is the pair's rank; ``phi`` is
+[u_i, u_j] to the edge (v_i, v_j), whose label is the pair's rank; ``phi`` is
 its restriction to the intervals a block realizes, read from the block's
-order (``fbb._reading``), so the stored rank set plays no part in it.  Going
-the other way, an arc set with no isolated vertex is exactly a valid rank
-set, which ``phi_inverse`` assembles.  ``verify_equivalence`` runs the whole
-loop for one (n, l) cell and cross-counts it against both recurrences.
+order (``fbb._reading``), so the stored edge mask plays no part in it.  Going
+the other way, an edge mask with no isolated vertex is exactly a valid rank
+set, which ``phi_inverse`` assembles and keeps as the block's own mask.
+``verify_equivalence`` runs the whole loop for one (n, l) cell and
+cross-counts it against both recurrences.
 """
 
 from __future__ import annotations
@@ -17,21 +18,21 @@ from dataclasses import dataclass
 from . import counting, fbb, graphs
 from .errors import ExtractionUnsupportedError, UncoveredVertexError
 from .fbb import Fbb, _reading, is_fundamental_basic_block
-from .graphs import DirectedLabeledGraph, orient
+from .graphs import LabeledGraph
 from .poset import nullity
 
 
 def phi(f):
-    """Digraph of a fundamental basic block: an arc (i, j) for each adjunct
-    pair (u_i, u_j) its poset realizes; never has isolated vertices.  A
-    poset that does not read as a block raises ExtractionUnsupportedError."""
+    """Labeled graph of a fundamental basic block: an edge (i, j) for each
+    adjunct pair (u_i, u_j) its poset realizes; never has isolated vertices.
+    A poset that does not read as a block raises ExtractionUnsupportedError."""
     n, mask, _, _ = _reading(f.poset)
-    return DirectedLabeledGraph.from_mask(n, mask)
+    return LabeledGraph.from_mask(n, mask)
 
 
 def phi_inverse(g):
-    """Fundamental basic block of a digraph without isolated vertices, its
-    arc labels read as the rank set.
+    """Fundamental basic block of a labeled graph without isolated vertices,
+    whose edge mask is the block's rank set.
 
     The labels and their pairs are read off the edge mask row by row: block
     S_i is the next n - i bits, the pairs (i, i+1)..(i, n), so they come out
@@ -55,7 +56,7 @@ def phi_inverse(g):
             ordered.append(base + step)
             pairs.append((i, i + step))
         base += width
-    return Fbb(n, frozenset(ordered), fbb._assemble(n, ordered, pairs))
+    return Fbb(n, g.mask, fbb._assemble(n, ordered, pairs))
 
 
 @dataclass(frozen=True)
@@ -100,24 +101,23 @@ def verify_equivalence(n, l, cap=graphs.DEFAULT_ENUM_CAP):
             failures.append("... further failures suppressed")
 
     for g in members:
-        dg = orient(g)
         try:
-            f = phi_inverse(dg)
+            f = phi_inverse(g)
         except UncoveredVertexError as exc:
-            record(f"phi_inverse({dg.arcs}) has no block: {exc}")
+            record(f"phi_inverse({g.arcs}) has no block: {exc}")
             continue
         try:
             back = phi(f)
         except ExtractionUnsupportedError as exc:
-            record(f"phi_inverse({dg.arcs}) does not read as a block: {exc}")
+            record(f"phi_inverse({g.arcs}) does not read as a block: {exc}")
             continue
-        if back != dg:
-            record(f"phi round trip broke on arcs {dg.arcs}: got {back.arcs}")
+        if back != g:
+            record(f"phi round trip broke on arcs {g.arcs}: got {back.arcs}")
             continue
         if not is_fundamental_basic_block(f):
-            record(f"phi_inverse({dg.arcs}) is not a fundamental basic block")
+            record(f"phi_inverse({g.arcs}) is not a fundamental basic block")
         if nullity(f.poset) != l:
-            record(f"phi_inverse({dg.arcs}) has nullity {nullity(f.poset)}, wanted {l}")
+            record(f"phi_inverse({g.arcs}) has nullity {nullity(f.poset)}, wanted {l}")
     count_d = counting.count_d(n, l)
     count_f = counting.count_f(n, l)
     if len(members) != count_d:

@@ -32,7 +32,9 @@ class ExtractionUnsupportedError(ValueError):
 
 
 class OrientationError(ValueError):
-    """Directed edge is not oriented from lower to higher vertex label."""
+    """An edge handed to ``label_edges`` is not a pair (i, j) with
+    1 <= i < j <= n.  Graphs of this package store every edge that way, so
+    only a foreign object's edges can raise it."""
 
 
 class EnumerationCapError(ValueError):

@@ -9,17 +9,19 @@ u_{i+1} and the pair could not be adjunct, or x_i's removal would not lower
 the nullity).  CF(n) is the complete case Q = J_N.
 
 Because of that, Q doubles as the identity of the block: two blocks are equal
-as canonical posets iff their rank sets agree, which is what ``Fbb`` carries.
-Blocks are built from Q as index-pair covers under the names u<i>/x<i>/c<k>,
-written for rendering and never parsed back: ``_reading`` reads (n, Q) off
-the poset's order alone, and phi, extraction, the DOT levels in ``render``
-and the fundamental-block predicate (the reading plus the basic-block test)
-decide from that one cached reading, whatever the names.
+as canonical posets iff their rank sets agree.  Q is exactly the edge set of
+the block's labeled graph, so ``Fbb`` carries it as that graph's edge mask
+(bit k-1 for label k), the one form Q takes from enumeration through phi,
+phi_inverse and the predicates.  Blocks are built from Q as index-pair
+covers under the names u<i>/x<i>/c<k>, written for rendering and never
+parsed back: ``_reading`` reads (n, Q) off the poset's order alone, and phi,
+extraction, the DOT levels in ``render`` and the fundamental-block predicate
+(the reading plus the basic-block test) decide from that one cached reading,
+whatever the names.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from math import comb
 
@@ -31,6 +33,7 @@ from .errors import (
     NotALatticeError,
     UncoveredVertexError,
 )
+from .graphs import LabeledGraph, _mask_ranks, isolated_vertices
 # ``rank`` is unused here but stays importable as ``fbb.rank``, a binding
 # the benchmark's tracer tests rebind and check.
 from .labeling import rank, unrank  # noqa: F401
@@ -64,16 +67,17 @@ class AdjunctRepresentation:
 
 @dataclass(frozen=True)
 class Fbb:
-    """A fundamental basic block, identified by (n, ranks)."""
+    """A fundamental basic block, identified by n and the edge mask of its
+    rank set Q: bit k-1 is set iff label k is in Q."""
 
     n: int
-    ranks: frozenset
+    mask: int
     poset: Poset
 
-
-@dataclass(frozen=True)
-class CompleteFbb(Fbb):
-    """CF(n): the block realizing every pair of reducibles, ranks = J_N."""
+    @property
+    def ranks(self):
+        """The rank set Q as a frozenset of labels."""
+        return frozenset(_mask_ranks(self.mask))
 
 
 def adjunct(l1, l2, a, b):
@@ -137,41 +141,30 @@ def build_cf(n):
     """The complete fundamental basic block CF(n)."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    labels = range(1, comb(n, 2) + 1)
+    top = comb(n, 2)
     pairs = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
-    return CompleteFbb(n, frozenset(labels), _assemble(n, labels, pairs))
-
-
-def _label(k):
-    try:
-        return operator.index(k)
-    except TypeError:
-        raise ValueError(f"label {k!r} is not an integer") from None
+    return Fbb(n, (1 << top) - 1, _assemble(n, range(1, top + 1), pairs))
 
 
 def build_fbb(n, ranks):
     """The fundamental basic block with adjunct pairs labeled by ``ranks``.
 
+    The labels are checked as the edge labels of ``LabeledGraph.from_ranks``.
     Every vertex 1..n must be touched by some pair, i.e. every u_i must end
     up reducible; otherwise the rank set does not describe a member of
     F_n(l) and the error names the isolated reducibles.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    rankset = frozenset(map(_label, ranks))
-    top = comb(n, 2)
-    bad = sorted(k for k in rankset if not 1 <= k <= top)
-    if bad:
-        raise ValueError(f"labels outside J_N = 1..{top}: {bad}")
-    ordered = sorted(rankset)
-    pairs = [unrank(n, k) for k in ordered]
-    covered = {v for pair in pairs for v in pair}
-    if len(covered) < n:
-        missing = [v for v in range(1, n + 1) if v not in covered]
+    g = LabeledGraph.from_ranks(n, ranks)
+    missing = isolated_vertices(g)
+    if missing:
         raise UncoveredVertexError(
             "no adjunct pair touches " + ", ".join(f"u{v}" for v in missing),
             missing)
-    return Fbb(n, rankset, _assemble(n, ordered, pairs))
+    ordered = g.ranks
+    pairs = [unrank(n, k) for k in ordered]
+    return Fbb(n, g.mask, _assemble(n, ordered, pairs))
 
 
 def is_basic_block_universal(p):
@@ -205,15 +198,14 @@ def extract_adjunct_representation(f):
 
     The terms come from the poset's order (see ``_reading``) and carry its
     own element names, whatever they are; the poset must read as the
-    block's (n, ranks), else ExtractionUnsupportedError.
+    block's (n, mask), else ExtractionUnsupportedError.
     """
     p = f.poset
-    n, _, chain, terms = _reading(p)
-    ranks = frozenset(k for k, _, _, _ in terms)
-    if (n, ranks) != (f.n, f.ranks):
+    n, mask, chain, terms = _reading(p)
+    if (n, mask) != (f.n, f.mask):
         raise ExtractionUnsupportedError(
-            f"the poset reads as n = {n}, ranks {sorted(ranks)}, not as the "
-            f"block's n = {f.n}, ranks {sorted(f.ranks)}")
+            f"the poset reads as n = {n}, ranks {list(_mask_ranks(mask))}, "
+            f"not as the block's n = {f.n}, ranks {sorted(f.ranks)}")
     name = p.name_of
     return AdjunctRepresentation(
         tuple(map(name, chain)),

@@ -1,8 +1,11 @@
 """Labeled graphs on vertices 1..n, stored as edge-label bitmasks.
 
 Bit k-1 of a graph's mask is the pair with label k, so equality of labeled
-graphs, subset enumeration, and the rank-set identity used on the lattice
-side are all literally the same machine word.
+graphs, subset enumeration, and the rank set Q that identifies a block on
+the lattice side (``fbb.Fbb.mask``) are all literally the same machine word.
+Every edge is stored as its pair i < j, so a graph is also its own
+low-to-high orientation: ``arcs`` is ``edges``, and ``orient`` is the
+identity.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from collections.abc import Sequence
 from math import comb
 
 from . import _kernel
-from .errors import EnumerationCapError, OrientationError
+from .errors import EnumerationCapError
 from .labeling import rank, unrank
 
 DEFAULT_ENUM_CAP = 7
@@ -43,7 +46,8 @@ def _built(cls, n, masks):
 
 
 class LabeledGraph:
-    """Undirected labeled graph; edges are 2-subsets of {1..n}."""
+    """Labeled graph; edges are 2-subsets of {1..n}, each stored as its
+    pair (i, j) with i < j, which is also its low-to-high arc."""
 
     __slots__ = ("n", "mask")
 
@@ -83,6 +87,8 @@ class LabeledGraph:
     def edges(self):
         return tuple(unrank(self.n, k) for k in _mask_ranks(self.mask))
 
+    arcs = edges
+
     @property
     def ranks(self):
         """Edge labels, ascending."""
@@ -101,27 +107,6 @@ class LabeledGraph:
 
     def __repr__(self):
         return f"{type(self).__name__}(n={self.n}, edges={list(self.edges)})"
-
-
-def _oriented(arcs):
-    """The arcs, lazily, raising on the first one not oriented low-to-high."""
-    for i, j in arcs:
-        if not i < j:
-            raise OrientationError(f"arc ({i}, {j}) is not oriented low-to-high")
-        yield i, j
-
-
-class DirectedLabeledGraph(LabeledGraph):
-    """Subgraph of K_n with every edge oriented low-to-high."""
-
-    __slots__ = ()
-
-    def __init__(self, n, arcs=()):
-        super().__init__(n, _oriented(arcs))
-
-    @property
-    def arcs(self):
-        return self.edges
 
 
 class GraphSequence(Sequence):
@@ -152,8 +137,9 @@ class GraphSequence(Sequence):
 
 
 def orient(g):
-    """The unique low-to-high orientation of a labeled graph."""
-    return DirectedLabeledGraph.from_mask(g.n, g.mask)
+    """The unique low-to-high orientation of a labeled graph: the graph
+    itself, since its edges are stored low-to-high."""
+    return g
 
 
 def isolated_vertices(g):

@@ -63,9 +63,9 @@ def unrank(n, k):
 
 
 def label_edges(g):
-    """Label map for a subgraph of K_n, directed or not: each pair (i, j),
-    i < j, of ``g.edges`` maps to rank(g.n, i, j); the map is injective with
-    inverse ``unrank``."""
+    """Label map for a subgraph of K_n: each pair (i, j), i < j, of
+    ``g.edges`` maps to rank(g.n, i, j); the map is injective with inverse
+    ``unrank``.  An edge not written that way raises OrientationError."""
     out = {}
     for i, j in g.edges:
         if not (1 <= i < j <= g.n):

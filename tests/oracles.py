@@ -20,7 +20,8 @@ from math import comb
 import networkx as nx
 
 from fbblat.errors import ExtractionUnsupportedError
-from fbblat.fbb import AdjunctRepresentation, AdjunctTerm
+from fbblat.fbb import AdjunctRepresentation, AdjunctTerm, Fbb
+from fbblat.graphs import LabeledGraph
 from fbblat.labeling import rank, unrank
 from fbblat.poset import Poset
 
@@ -204,6 +205,13 @@ def valid_rank_sets(max_n):
             for ranks in itertools.combinations(labels, size):
                 if len({v for k in ranks for v in unrank(n, k)}) == n:
                     yield n, ranks
+
+
+def fbb_of(n, ranks, poset):
+    """An ``Fbb`` claiming the rank set ``ranks`` for ``poset``, whether or
+    not the poset reads as that block; its mask is the edge mask of
+    ``LabeledGraph.from_ranks(n, ranks)``."""
+    return Fbb(n, LabeledGraph.from_ranks(n, ranks).mask, poset)
 
 
 def unisolated_edge_sets(n, q):

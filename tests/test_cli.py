@@ -58,6 +58,12 @@ def test_fbb_rejects_uncovering_ranks(capsys):
     assert "u3" in err and "u4" in err
 
 
+def test_fbb_rejects_label_outside_j_n(capsys):
+    code, _, err = run(capsys, "fbb", "--n", "4", "--ranks", "9")
+    assert code == 2
+    assert err == "error: edge label 9 outside J_N for n = 4\n"
+
+
 @pytest.mark.parametrize("ranks,token", [("1,x", "x"), ("1-2-3", "1-2-3"),
                                          ("1-x", "1-x")])
 def test_fbb_names_the_bad_rank_token(capsys, ranks, token):

@@ -7,8 +7,8 @@ import pytest
 
 from fbblat.correspondence import phi, phi_inverse, verify_equivalence
 from fbblat.errors import UncoveredVertexError
-from fbblat.fbb import Fbb, build_cf, build_fbb
-from fbblat.graphs import DirectedLabeledGraph, enumerate_d, orient
+from fbblat.fbb import build_cf, build_fbb
+from fbblat.graphs import LabeledGraph, enumerate_d
 from fbblat.labeling import rank
 from fbblat.poset import classify, nullity
 
@@ -25,15 +25,15 @@ def test_phi_known_images():
 def test_phi_reads_the_poset_not_the_stored_ranks():
     # the stored ranks {1, 2, 3} disagree with the poset's, which phi reports
     poset = build_fbb(4, {1, 3, 4, 5}).poset
-    assert phi(Fbb(4, frozenset({1, 2, 3}), poset)).ranks == (1, 3, 4, 5)
+    assert phi(oracles.fbb_of(4, {1, 2, 3}, poset)).ranks == (1, 3, 4, 5)
 
 
 def test_phi_inverse_known_images(f4_1345_expected):
-    g = DirectedLabeledGraph(4, [(1, 2), (1, 4), (2, 3), (2, 4)])
+    g = LabeledGraph(4, [(1, 2), (1, 4), (2, 3), (2, 4)])
     block = phi_inverse(g)
     assert block.poset == f4_1345_expected
-    k4 = DirectedLabeledGraph(4, [(i, j) for i in range(1, 4)
-                                  for j in range(i + 1, 5)])
+    k4 = LabeledGraph(4, [(i, j) for i in range(1, 4)
+                          for j in range(i + 1, 5)])
     assert phi_inverse(k4).poset == build_cf(4).poset
 
 
@@ -44,7 +44,7 @@ def test_phi_inverse_rejects_isolated_vertex():
                               (5, [(2, 4), (3, 5)], (1,)),
                               (1, [], (1,))):
         with pytest.raises(UncoveredVertexError) as err:
-            phi_inverse(DirectedLabeledGraph(n, arcs))
+            phi_inverse(LabeledGraph(n, arcs))
         assert err.value.vertices == isolated
         assert str(err.value).endswith(
             ", ".join(f"v{v}" for v in isolated))
@@ -54,10 +54,13 @@ def test_phi_inverse_builds_what_build_fbb_builds():
     # phi_inverse reads the labels off the edge mask; build_fbb validates
     # and unranks them: the blocks must be the same, element order included
     for n, ranks in oracles.valid_rank_sets(5):
-        got = phi_inverse(DirectedLabeledGraph.from_ranks(n, ranks))
+        g = LabeledGraph.from_ranks(n, ranks)
+        got = phi_inverse(g)
         want = build_fbb(n, ranks)
         where = f"n={n} ranks={ranks}"
         assert got == want, where
+        assert got.mask == want.mask == g.mask, where
+        assert got.ranks == frozenset(ranks), where
         assert got.poset.names == want.poset.names, where
         assert got.poset._upper == want.poset._upper, where
 
@@ -66,11 +69,10 @@ def test_phi_round_trips_over_full_enumeration():
     for n in range(2, 6):
         for l in range(comb(n, 2) + 1):
             for g in enumerate_d(n, l):
-                dg = orient(g)
-                block = phi_inverse(dg)
-                assert phi(block) == dg
+                block = phi_inverse(g)
+                assert phi(block) == g
                 assert block.ranks == frozenset(
-                    rank(n, i, j) for i, j in dg.arcs)
+                    rank(n, i, j) for i, j in g.arcs)
 
 
 def test_phi_images_have_no_isolated_vertices():
@@ -79,7 +81,7 @@ def test_phi_images_have_no_isolated_vertices():
     for n in range(2, 6):
         for l in range(comb(n, 2) + 1):
             for g in enumerate_d(n, l):
-                assert not has_isolated_vertex(phi(phi_inverse(orient(g))))
+                assert not has_isolated_vertex(phi(phi_inverse(g)))
 
 
 def test_verify_equivalence_known_cells():
@@ -115,7 +117,7 @@ def test_full_cells_satisfy_block_predicates():
     for n in range(2, 5):
         for l in range(comb(n, 2) + 1):
             for g in enumerate_d(n, l):
-                block = phi_inverse(orient(g))
+                block = phi_inverse(g)
                 assert is_fundamental_basic_block(block)
                 assert nullity(block.poset) == l
                 assert len(classify(block.poset).reducible) == n

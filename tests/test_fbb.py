@@ -12,11 +12,11 @@ from fbblat import _kernel, fbb
 from fbblat.correspondence import phi
 from fbblat.errors import (DisjointnessError, ExtractionUnsupportedError,
                            InvalidAdjunctPairError, UncoveredVertexError)
-from fbblat.fbb import (AdjunctTerm, CompleteFbb, Fbb,
+from fbblat.fbb import (AdjunctTerm, Fbb,
                         adjunct, build_cf, build_fbb,
                         extract_adjunct_representation,
                         is_basic_block_universal, is_fundamental_basic_block)
-from fbblat.graphs import DirectedLabeledGraph, enumerate_d
+from fbblat.graphs import LabeledGraph, enumerate_d
 from fbblat.labeling import rank, unrank
 from fbblat.poset import (Poset, classify, is_dismantlable, is_lattice,
                           is_rc_lattice, nullity, remove_element)
@@ -90,7 +90,6 @@ def test_cf2_is_smallest_block():
 
 def test_cf4_matches_reference(cf4_expected):
     block = build_cf(4)
-    assert isinstance(block, CompleteFbb)
     assert block.poset == cf4_expected
     assert len(block.poset) == 13
     assert len(block.poset.covers) == 18
@@ -110,6 +109,7 @@ def test_cf_structural_invariants(n):
     assert len(p) == 2 * n - 1 + top
     assert len(p.covers) == 2 * n - 2 + 2 * top
     assert nullity(p) == top
+    assert block.mask == (1 << top) - 1
     assert is_lattice(p)
     assert is_rc_lattice(p)
     assert is_dismantlable(p)
@@ -150,7 +150,7 @@ def test_build_fbb_rejects_labels_outside_range():
         build_fbb(4, {0, 1, 2, 3, 4, 5, 6})
     with pytest.raises(ValueError):
         build_fbb(4, {7})
-    with pytest.raises(ValueError, match=r"^label 1\.5 is not an integer$"):
+    with pytest.raises(ValueError, match=r"^edge label 1\.5 is not an integer$"):
         build_fbb(3, {1.5, 2, 3})
 
 
@@ -284,7 +284,7 @@ def test_extraction_round_trips_through_assembly():
 
 
 def test_extraction_rejects_foreign_poset():
-    foreign = Fbb(2, frozenset({1}), Poset.chain("abc"))
+    foreign = oracles.fbb_of(2, {1}, Poset.chain("abc"))
     with pytest.raises(ExtractionUnsupportedError):
         extract_adjunct_representation(foreign)
 
@@ -298,13 +298,13 @@ def test_fundamental_predicate_on_known_blocks():
 def test_fundamental_predicate_rejects_non_lattice():
     # canonical names, but no top element: fails the lattice gate
     p = Poset.from_covers([("u1", "c1"), ("u1", "x1")])
-    assert not is_fundamental_basic_block(Fbb(2, frozenset({1}), p))
+    assert not is_fundamental_basic_block(oracles.fbb_of(2, {1}, p))
 
 
 def test_fundamental_predicate_rejects_broken_basic_block(cf4_expected):
     names = list(cf4_expected.names) + ["t"]
     covers = list(cf4_expected.covers) + [("u4", "t")]
-    spliced = Fbb(4, frozenset(range(1, 7)), Poset(names, covers))
+    spliced = oracles.fbb_of(4, range(1, 7), Poset(names, covers))
     assert not is_fundamental_basic_block(spliced)
 
 
@@ -315,7 +315,7 @@ def _renamed(p, prefix):
 
 def test_renamed_block_reads_from_its_order():
     block = build_fbb(4, {1, 3, 4, 5})
-    renamed = Fbb(4, block.ranks, _renamed(block.poset, "e"))
+    renamed = Fbb(4, block.mask, _renamed(block.poset, "e"))
     assert is_fundamental_basic_block(renamed)
     rep = extract_adjunct_representation(renamed)
     assert rep.base_chain == ("eu1", "ex1", "eu2", "ex2", "eu3", "eu4")
@@ -327,7 +327,7 @@ def test_repeated_adjunct_pair_is_not_fundamental():
     # a second element between u1 and u3 realizes the pair (1, 3) twice
     cf3 = build_cf(3).poset
     p = Poset(list(cf3.names) + ["d"], list(cf3.covers) + [("u1", "d"), ("d", "u3")])
-    block = Fbb(3, frozenset({1, 2, 3}), p)
+    block = oracles.fbb_of(3, {1, 2, 3}, p)
     assert is_lattice(p) and is_rc_lattice(p) and is_basic_block_universal(p)
     assert not is_fundamental_basic_block(block)
     with pytest.raises(ExtractionUnsupportedError, match="realized 2 times"):
@@ -344,7 +344,7 @@ def test_block_is_read_once(monkeypatch):
 
     monkeypatch.setattr(fbb, "_order_scan", counted)
     block = build_fbb(5, {1, 5, 8, 10})
-    assert phi(block) == DirectedLabeledGraph.from_ranks(5, block.ranks)
+    assert phi(block) == LabeledGraph.from_ranks(5, block.ranks)
     assert extract_adjunct_representation(block).assemble() == block.poset
     assert is_fundamental_basic_block(block)
     assert calls == [block.poset]
@@ -403,18 +403,18 @@ def _extraction_outcome(extract, block):
 def _foreign_blocks(cf4):
     spliced = Poset(list(cf4.names) + ["t"], list(cf4.covers) + [("u4", "t")])
     f = build_fbb(4, {1, 3, 4, 5}).poset
-    yield Fbb(2, frozenset({1}), Poset.chain("abc"))
-    yield Fbb(2, frozenset({1}), Poset.from_covers([("u1", "c1"), ("u1", "x1")]))
-    yield Fbb(4, frozenset(range(1, 7)), spliced)
-    yield Fbb(4, frozenset({1, 3, 4}), f)                       # c5 not in Q
-    yield Fbb(4, frozenset({1, 3, 4, 5, 6}), f)                 # c6 missing
-    yield Fbb(4, frozenset({1, 3, 4, 5}), remove_element(f, "x1"))
-    yield Fbb(4, frozenset({1, 3, 4, 5}), Poset.from_covers(   # c3 glued low
+    yield oracles.fbb_of(2, {1}, Poset.chain("abc"))
+    yield oracles.fbb_of(2, {1}, Poset.from_covers([("u1", "c1"), ("u1", "x1")]))
+    yield oracles.fbb_of(4, range(1, 7), spliced)
+    yield oracles.fbb_of(4, {1, 3, 4}, f)                       # c5 not in Q
+    yield oracles.fbb_of(4, {1, 3, 4, 5, 6}, f)                 # c6 missing
+    yield oracles.fbb_of(4, {1, 3, 4, 5}, remove_element(f, "x1"))
+    yield oracles.fbb_of(4, {1, 3, 4, 5}, Poset.from_covers(   # c3 glued low
         [c for c in f.covers if c != ("c3", "u4")] + [("c3", "u3")]))
-    yield Fbb(4, frozenset({1, 3, 4, 5}),
+    yield oracles.fbb_of(4, {1, 3, 4, 5},
               Poset.from_covers(f.covers, ["u1", "x1", "x9"]))  # stray name
-    yield Fbb(4, frozenset({1, 3, 4, 5}), f)                    # the block
-    yield Fbb(3, frozenset({2, 3}), Poset.from_covers(          # x1, no c1
+    yield oracles.fbb_of(4, {1, 3, 4, 5}, f)                    # the block
+    yield oracles.fbb_of(3, {2, 3}, Poset.from_covers(          # x1, no c1
         [("u1", "x1"), ("x1", "u2"), ("u2", "x2"), ("x2", "u3"),
          ("u1", "c2"), ("c2", "u3"), ("u2", "c3"), ("c3", "u3")]))
 
@@ -443,7 +443,7 @@ def test_single_removal_route_matches_direct_build(n):
         assert trimmed == direct.poset
         assert nullity(trimmed) == top - 1
         assert is_fundamental_basic_block(
-            Fbb(n, frozenset(set(range(1, top + 1)) - {k}), trimmed))
+            oracles.fbb_of(n, set(range(1, top + 1)) - {k}, trimmed))
 
 
 def test_removal_route_undefined_at_n2():

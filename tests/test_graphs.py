@@ -7,8 +7,8 @@ from math import comb
 import pytest
 
 from fbblat import _kernel
-from fbblat.errors import EnumerationCapError, OrientationError
-from fbblat.graphs import (DirectedLabeledGraph, GraphSequence, LabeledGraph,
+from fbblat.errors import EnumerationCapError
+from fbblat.graphs import (GraphSequence, LabeledGraph,
                            check_bounds, enumerate_d, has_isolated_vertex,
                            isolated_vertices, orient)
 
@@ -37,7 +37,7 @@ def test_rejects_loops_and_out_of_range():
     (lambda: LabeledGraph.from_ranks(3, [1.5]), r"^edge label 1\.5 is not an integer$"),
     (lambda: LabeledGraph.from_ranks(3, [1, 2.0]), r"^edge label 2\.0 is not an integer$"),
     (lambda: LabeledGraph.from_ranks(3, ["2"]), r"^edge label '2' is not an integer$"),
-    (lambda: DirectedLabeledGraph.from_ranks(3, [2.5]),
+    (lambda: LabeledGraph.from_ranks(3, [2.5]),
      r"^edge label 2\.5 is not an integer$"),
     (lambda: LabeledGraph(3, [(1, 2.5)]), r"^pair \(1, 2\.5\) is not a pair of integers$"),
     (lambda: LabeledGraph(3, [(2.0, 1)]), r"^pair \(1, 2\.0\) is not a pair of integers$"),
@@ -50,18 +50,12 @@ def test_rejects_non_integer_labels_and_vertices(build, message):
 @pytest.mark.parametrize("build", [
     lambda n: LabeledGraph.from_mask(n, 0),
     lambda n: LabeledGraph.from_ranks(n, []),
-    lambda n: DirectedLabeledGraph.from_mask(n, 0),
     lambda n: list(GraphSequence(n, [])),
-], ids=["from_mask", "from_ranks", "directed_from_mask", "iter"])
+], ids=["from_mask", "from_ranks", "iter"])
 @pytest.mark.parametrize("n", [0, -2])
 def test_graphs_need_a_vertex(build, n):
     with pytest.raises(ValueError, match=rf"^need n >= 1, got {n}$"):
         build(n)
-
-
-def test_directed_graph_rejects_bad_orientation():
-    with pytest.raises(OrientationError):
-        DirectedLabeledGraph(4, [(2, 1)])
 
 
 def test_orient_examples():
@@ -76,7 +70,7 @@ def test_orientation_round_trips():
         for q in range(comb(n, 2) + 1):
             for g in enumerate_d(n, q):
                 dg = orient(g)
-                assert type(dg) is DirectedLabeledGraph
+                assert type(dg) is LabeledGraph
                 assert (dg.n, dg.mask, dg.arcs) == (g.n, g.mask, g.edges)
                 assert orient(dg) == dg
 
@@ -139,7 +133,8 @@ def test_enumerate_d_is_a_lazy_sequence_of_graphs():
     assert seq[2] in seq
     assert LabeledGraph(5, [(1, 2)]) not in seq
     assert LabeledGraph.from_mask(6, masks[0]) not in seq
-    assert orient(seq[0]) not in seq
+    first = seq[0]
+    assert orient(first) is first
 
 
 def test_enumerate_d_iterates_as_from_mask_over_the_kernel_masks():
@@ -248,4 +243,4 @@ def test_graph_equality_is_mask_equality():
     c = LabeledGraph(5, [(1, 2), (3, 4)])
     assert a == b and hash(a) == hash(b)
     assert a != c
-    assert a != orient(a)  # directed and undirected values stay distinct
+    assert orient(a) is a

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fbblat.errors import OrientationError
-from fbblat.graphs import DirectedLabeledGraph, LabeledGraph
+from fbblat.graphs import LabeledGraph
 from fbblat.labeling import MAX_N, label_edges, pair_count, rank, unrank
 
 from oracles import dict_pairs
@@ -112,19 +112,19 @@ def test_rank_rejects_non_integer_vertices(i, j, shown):
 
 
 def test_label_edges_complete_graph():
-    k4 = DirectedLabeledGraph(4, dict_pairs(4))
+    k4 = LabeledGraph(4, dict_pairs(4))
     labels = label_edges(k4)
     assert sorted(labels.values()) == [1, 2, 3, 4, 5, 6]
     assert labels[(1, 2)] == 1 and labels[(3, 4)] == 6
 
 
 def test_label_edges_known_subgraph():
-    g = DirectedLabeledGraph(4, [(1, 2), (1, 4), (2, 3), (2, 4)])
+    g = LabeledGraph(4, [(1, 2), (1, 4), (2, 3), (2, 4)])
     assert sorted(label_edges(g).values()) == [1, 3, 4, 5]
 
 
 def test_label_edges_empty():
-    assert label_edges(DirectedLabeledGraph(4)) == {}
+    assert label_edges(LabeledGraph(4)) == {}
 
 
 def test_label_edges_rejects_bad_orientation():
@@ -141,6 +141,6 @@ def test_label_edges_of_an_undirected_graph():
 
 
 def test_label_edges_inverse_recovers_edge():
-    g = DirectedLabeledGraph(5, [(1, 3), (2, 5), (4, 5)])
+    g = LabeledGraph(5, [(1, 3), (2, 5), (4, 5)])
     for arc, k in label_edges(g).items():
         assert unrank(5, k) == arc
