@@ -70,7 +70,15 @@ def covers_within(n, up, down, mask):
 
 def induced_nullity_parts(n, lower, upper):
     """(cover-edge count, component count) of the cover graph whose
-    per-element lower and upper cover masks are ``lower`` and ``upper``."""
+    per-element lower and upper cover masks are ``lower`` and ``upper``.
+
+    With exactly one minimal element (one empty lower cover mask) the graph
+    is connected without a flood: every element lies above that minimal
+    element, and a maximal chain between the two is a path of cover edges.
+    """
+    edges = sum(map(int.bit_count, upper))
+    if lower.count(0) == 1:
+        return edges, 1
     comps = 0
     rest = (1 << n) - 1
     while rest:  # flood one component from the lowest element left
@@ -84,7 +92,7 @@ def induced_nullity_parts(n, lower, upper):
             frontier |= new
         rest &= ~seen
         comps += 1
-    return sum(m.bit_count() for m in upper), comps
+    return edges, comps
 
 
 def _least_of(subset, up, down):
@@ -272,16 +280,18 @@ def _subsets_with_covers(labels, pair_cover):
 
 def unisolated_masks(nv, q):
     """Bitmasks over pair labels of the q-edge subgraphs of K_nv with no
-    isolated vertex, in lexicographic order of their label sets.
+    isolated vertex, in lexicographic order of their label sets, as parts:
+    a list of ``(low, highs)`` pairs whose members are ``low | h`` for each
+    ``h`` in ``highs``, part by part.
 
     A meet-in-the-middle join over a low and a high half of the labels.
     Label sets of one size sort by the lowest label of their symmetric
-    difference, the set holding it first, so the output is each low-half
-    subset in that order, joined with the high-half subsets of the
-    complementary size that cover every vertex the low subset leaves
-    uncovered, those in combinations order.  High-half subsets are grouped
-    by (size, vertices required) on first use, and each group is appended
-    at C speed.
+    difference, the set holding it first, so the members are each low-half
+    subset ``low`` in that order, joined with the high-half subsets of the
+    complementary size that cover every vertex ``low`` leaves uncovered,
+    those in combinations order.  High-half subsets are grouped by (size,
+    vertices required) on first use, and parts with the same key share one
+    ``highs`` list, so the join is never flattened.  No part is empty.
     """
     npairs = nv * (nv - 1) // 2
     if q < 0 or q > npairs:
@@ -294,7 +304,7 @@ def unisolated_masks(nv, q):
     for m, c in _subsets_with_covers(range(half, npairs), pair_cover):
         high_by_size[m.bit_count()].append((m, c))
     groups = {}
-    out = []
+    parts = []
     for low, cover in _subsets_with_covers(range(half), pair_cover):
         size = q - low.bit_count()
         if not 0 <= size < len(high_by_size):
@@ -304,5 +314,6 @@ def unisolated_masks(nv, q):
         if group is None:
             group = groups[size, need] = [
                 m for m, c in high_by_size[size] if c & need == need]
-        out.extend(map(low.__or__, group))
-    return out
+        if group:
+            parts.append((low, group))
+    return parts

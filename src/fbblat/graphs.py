@@ -11,8 +11,11 @@ identity.
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_right
 from collections.abc import Sequence
+from itertools import accumulate
 from math import comb
+from operator import index
 
 from . import _kernel
 from .errors import EnumerationCapError
@@ -28,21 +31,24 @@ def _mask_ranks(mask):
         mask ^= low
 
 
-def _built(cls, n, masks):
-    """A ``cls`` graph on n vertices for each edge mask, lazily.  n and the
-    width C(n, 2) are checked and computed once, and each graph is two slot
-    writes on a bare instance, so iteration makes no call per element."""
+def _built(cls, n, parts):
+    """A ``cls`` graph on n vertices for each edge mask ``low | h`` of the
+    ``(low, highs)`` parts, lazily.  n and the width C(n, 2) are checked and
+    computed once, and each graph is two slot writes on a bare instance, so
+    iteration makes no call per element."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     width = comb(n, 2)
     new = object.__new__
-    for mask in masks:
-        if mask < 0 or mask >> width:
-            raise ValueError(f"edge mask {mask:#x} has bits outside J_N for n = {n}")
-        g = new(cls)
-        g.n = n
-        g.mask = mask
-        yield g
+    for low, highs in parts:
+        for high in highs:
+            mask = low | high
+            if mask < 0 or mask >> width:
+                raise ValueError(f"edge mask {mask:#x} has bits outside J_N for n = {n}")
+            g = new(cls)
+            g.n = n
+            g.mask = mask
+            yield g
 
 
 class LabeledGraph:
@@ -65,7 +71,7 @@ class LabeledGraph:
 
     @classmethod
     def from_mask(cls, n, mask):
-        return next(_built(cls, n, (mask,)))
+        return next(_built(cls, n, ((0, (mask,)),)))
 
     @classmethod
     def from_ranks(cls, n, ranks):
@@ -76,11 +82,12 @@ class LabeledGraph:
         mask = 0
         for k in ranks:
             try:
-                if not 1 <= k <= top:
-                    raise ValueError(f"edge label {k} outside J_N for n = {n}")
-                mask |= 1 << (k - 1)
+                index(k)
             except TypeError:
                 raise ValueError(f"edge label {k!r} is not an integer") from None
+            if not 1 <= k <= top:
+                raise ValueError(f"edge label {k} outside J_N for n = {n}")
+            mask |= 1 << (k - 1)
         return cls.from_mask(n, mask)
 
     @property
@@ -110,27 +117,43 @@ class LabeledGraph:
 
 
 class GraphSequence(Sequence):
-    """Read-only sequence of labeled graphs on n vertices, backed by a list
-    of edge masks.  Each element is built from its mask, with the checks of
+    """Read-only sequence of labeled graphs on n vertices, backed by parts:
+    ``(low, highs)`` pairs whose edge masks are ``low | h`` for each ``h`` in
+    ``highs``, part by part.  A plain mask list is the one part
+    ``(0, masks)``.  Each element is built from its mask, with the checks of
     ``LabeledGraph.from_mask``, when it is indexed or iterated over, so only
-    the masks are held."""
+    the parts and their start offsets are held; an index finds its part by
+    bisection, and a slice is a one-part sequence of its masks."""
 
-    __slots__ = ("n", "_masks")
+    __slots__ = ("n", "_parts", "_starts")
 
-    def __init__(self, n, masks):
+    def __init__(self, n, parts):
         self.n = n
-        self._masks = masks
+        self._parts = parts
+        self._starts = [0, *accumulate(len(highs) for _, highs in parts)]
 
     def __len__(self):
-        return len(self._masks)
+        return self._starts[-1]
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return GraphSequence(self.n, self._masks[index])
-        return LabeledGraph.from_mask(self.n, self._masks[index])
+    def _mask(self, i):
+        """Edge mask of element i, for 0 <= i < len(self)."""
+        part = bisect_right(self._starts, i) - 1
+        low, highs = self._parts[part]
+        return low | highs[i - self._starts[part]]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            masks = [self._mask(j) for j in range(len(self))[i]]
+            return GraphSequence(self.n, [(0, masks)])
+        i = index(i)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("GraphSequence index out of range")
+        return LabeledGraph.from_mask(self.n, self._mask(i))
 
     def __iter__(self):
-        return _built(LabeledGraph, self.n, self._masks)
+        return _built(LabeledGraph, self.n, self._parts)
 
     def __repr__(self):
         return f"{type(self).__name__}(n={self.n}, len={len(self)})"
@@ -174,8 +197,10 @@ def check_bounds(n, q):
 def enumerate_d(n, q, cap=DEFAULT_ENUM_CAP):
     """All labeled graphs on n unisolated vertices with q edges, in
     lexicographic order of their edge-label sets, as a read-only
-    ``GraphSequence`` that holds the edge masks and builds each graph from
-    its mask on access.
+    ``GraphSequence`` over the kernel's meet-in-the-middle parts, which
+    builds each graph from its mask on access.  The edge masks are never
+    listed: the largest n = 7 cell, (7, 10), holds 331,716 graphs in 1,984
+    parts that share 137 lists of 19,743 high masks in all.
 
     Refuses n above ``cap`` (default 7, where the 22 cells hold 1,887,284
     graphs); pass a larger cap explicitly to override.  Exact counts at any size come from the

@@ -152,6 +152,13 @@ def test_build_fbb_rejects_labels_outside_range():
         build_fbb(4, {7})
     with pytest.raises(ValueError, match=r"^edge label 1\.5 is not an integer$"):
         build_fbb(3, {1.5, 2, 3})
+    # integrality is tested before range, so these are not "outside J_N"
+    with pytest.raises(ValueError, match=r"^edge label 9\.5 is not an integer$"):
+        build_fbb(3, {9.5})
+    with pytest.raises(ValueError, match=r"^edge label 0\.5 is not an integer$"):
+        build_fbb(3, {0.5})
+    with pytest.raises(ValueError, match=r"^edge label 7 outside J_N for n = 4$"):
+        build_fbb(4, {7})
 
 
 def test_build_fbb_ranks_are_a_set():

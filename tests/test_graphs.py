@@ -15,6 +15,11 @@ from fbblat.graphs import (GraphSequence, LabeledGraph,
 import oracles
 
 
+def _kernel_masks(n, q):
+    """The kernel's edge masks of D(n, q), flattened from its parts."""
+    return [low | h for low, highs in _kernel.unisolated_masks(n, q) for h in highs]
+
+
 def test_edges_normalize_and_roundtrip():
     g = LabeledGraph(4, [(2, 1), (4, 2)])
     assert g.edges == ((1, 2), (2, 4))
@@ -39,6 +44,10 @@ def test_rejects_loops_and_out_of_range():
     (lambda: LabeledGraph.from_ranks(3, ["2"]), r"^edge label '2' is not an integer$"),
     (lambda: LabeledGraph.from_ranks(3, [2.5]),
      r"^edge label 2\.5 is not an integer$"),
+    # integrality is tested before range
+    (lambda: LabeledGraph.from_ranks(3, [9.5]), r"^edge label 9\.5 is not an integer$"),
+    (lambda: LabeledGraph.from_ranks(3, [0.5]), r"^edge label 0\.5 is not an integer$"),
+    (lambda: LabeledGraph.from_ranks(3, [1, -0.5]), r"^edge label -0\.5 is not an integer$"),
     (lambda: LabeledGraph(3, [(1, 2.5)]), r"^pair \(1, 2\.5\) is not a pair of integers$"),
     (lambda: LabeledGraph(3, [(2.0, 1)]), r"^pair \(1, 2\.0\) is not a pair of integers$"),
 ])
@@ -113,7 +122,7 @@ def test_enumerate_d_is_in_lexicographic_rank_order():
 def test_enumerate_d_is_a_lazy_sequence_of_graphs():
     from collections.abc import Sequence
 
-    masks = _kernel.unisolated_masks(5, 6)
+    masks = _kernel_masks(5, 6)
     seq = enumerate_d(5, 6)
     assert isinstance(seq, Sequence)
     assert len(seq) == len(masks) > 3
@@ -142,7 +151,7 @@ def test_enumerate_d_iterates_as_from_mask_over_the_kernel_masks():
         for q in range(comb(n, 2) + 1):
             got = list(enumerate_d(n, q))
             assert got == [LabeledGraph.from_mask(n, m)
-                           for m in _kernel.unisolated_masks(n, q)], (n, q)
+                           for m in _kernel_masks(n, q)], (n, q)
             assert all(type(g) is LabeledGraph and not hasattr(g, "__dict__")
                        for g in got)
             assert len(set(map(id, got))) == len(got)
@@ -152,17 +161,19 @@ def test_enumerate_d_iterates_as_from_mask_over_the_kernel_masks():
 def test_graph_sequence_stops_at_a_bad_mask(bad):
     with pytest.raises(ValueError) as direct:
         LabeledGraph.from_mask(3, bad)
-    it = iter(GraphSequence(3, [1, bad, 2]))
-    assert next(it) == LabeledGraph.from_mask(3, 1)
-    with pytest.raises(ValueError) as lazy:
-        next(it)
-    assert str(lazy.value) == str(direct.value)
+    # the bad bits come from a high mask, then from a part's low mask
+    for parts in ([(0, [1, bad, 2])], [(0, [1]), (bad, [0, 2])]):
+        it = iter(GraphSequence(3, parts))
+        assert next(it) == LabeledGraph.from_mask(3, 1)
+        with pytest.raises(ValueError) as lazy:
+            next(it)
+        assert str(lazy.value) == str(direct.value)
 
 
 def test_graph_sequence_iterates_without_from_mask(monkeypatch):
     # Iteration builds graphs inline; a per-element classmethod call costs
     # about a third of an n = 7 enumeration pass.
-    masks = _kernel.unisolated_masks(5, 6)
+    masks = _kernel_masks(5, 6)
     seq = enumerate_d(5, 6)
 
     def refuse(cls, n, mask):
@@ -170,6 +181,33 @@ def test_graph_sequence_iterates_without_from_mask(monkeypatch):
 
     monkeypatch.setattr(LabeledGraph, "from_mask", classmethod(refuse))
     assert [g.mask for g in seq] == masks
+
+
+def test_graph_sequence_random_access_agrees_with_iteration():
+    for n in range(2, 7):
+        for q in range(comb(n, 2) + 1):
+            seq = enumerate_d(n, q)
+            walked = list(seq)
+            size = len(walked)
+            assert len(seq) == size, (n, q)
+            assert [seq[i] for i in range(size)] == walked, (n, q)
+            assert [seq[i] for i in range(-size, 0)] == walked, (n, q)
+            assert list(reversed(seq)) == walked[::-1], (n, q)
+            for cut in (slice(None, None, 3), slice(1, -1, 2), slice(None, None, -2),
+                        slice(size // 2, None), slice(-5, None, -1)):
+                part = seq[cut]
+                assert type(part) is GraphSequence, (n, q)
+                assert list(part) == walked[cut], (n, q, cut)
+                assert [part[i] for i in range(len(part))] == walked[cut], (n, q, cut)
+
+
+def test_enumerate_d_holds_shared_high_masks_not_members():
+    # The largest n = 7 cell: parts of one (size, required vertices) key share
+    # a list of high masks, so far fewer masks are held than members.
+    seq = enumerate_d(7, 10)
+    groups = {id(highs): highs for _, highs in seq._parts}
+    held = sum(map(len, groups.values())) + len(seq._parts)
+    assert held < len(seq) / 10
 
 
 def test_enumerate_d_cap():

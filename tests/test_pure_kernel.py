@@ -265,5 +265,13 @@ _UNISOLATED_CELLS += [(8, q) for q in (3, 4, 6, 22, 25)]
 
 def test_unisolated_masks_match_subset_scan():
     for nv, q in _UNISOLATED_CELLS:
-        assert (_kernel.unisolated_masks(nv, q)
-                == oracles.unisolated_masks_by_scan(nv, q)), f"nv={nv} q={q}"
+        where = f"nv={nv} q={q}"
+        parts = _kernel.unisolated_masks(nv, q)
+        assert ([low | h for low, highs in parts for h in highs]
+                == oracles.unisolated_masks_by_scan(nv, q)), where
+        npairs = comb(nv, 2)
+        low_half = (1 << (npairs + 1) // 2) - 1
+        for low, highs in parts:  # low-half labels joined with high-half ones
+            assert highs, where
+            assert low & ~low_half == 0, where
+            assert all(h & ~((1 << npairs) - 1 - low_half) == 0 for h in highs), where
