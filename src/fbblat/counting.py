@@ -38,11 +38,16 @@ concurrent callers never compute a row twice or read a half-built table;
 reading rows that are already there takes no lock.  The f and P tables
 grow together, row for row; a fill that finds them of different lengths
 raises instead of pairing a row of f with the wrong P.
+
+The triangle that ``emit_triangle``, ``CountTable`` and ``diff_bfile``
+show is read row by row from these tables: one walk fills row n with one
+counter call and slices out its band q = ceil(n/2)..C(n,2).
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import threading
 from dataclasses import dataclass
 from math import comb
@@ -77,10 +82,19 @@ def _fill_d(n):
             _d_rows.append(row)
 
 
+def _check_cell(n, q, name="q"):
+    for label, value in (("n", n), (name, q)):
+        try:
+            operator.index(value)
+        except TypeError:
+            raise ValueError(f"{label} = {value!r} is not an integer") from None
+    if n < 0 or q < 0:
+        raise ValueError(f"need n, {name} >= 0")
+
+
 def count_d(n, q):
     """Number of labeled graphs on n unisolated vertices with q edges."""
-    if n < 0 or q < 0:
-        raise ValueError("need n, q >= 0")
+    _check_cell(n, q)
     _fill_d(n)
     row = _d_rows[n]
     return row[q] if q < len(row) else 0
@@ -88,8 +102,7 @@ def count_d(n, q):
 
 def count_d_oracle(n, q):
     """Same count by inclusion-exclusion over isolated-vertex sets."""
-    if n < 0 or q < 0:
-        raise ValueError("need n, q >= 0")
+    _check_cell(n, q)
     return sum((-1) ** k * comb(n, k) * comb(comb(n - k, 2), q)
                for k in range(n + 1))
 
@@ -125,8 +138,7 @@ def _fill_f(n):
 def count_f(n, l):
     """Number of fundamental basic blocks on n comparable reducibles with
     nullity l."""
-    if n < 0 or l < 0:
-        raise ValueError("need n, l >= 0")
+    _check_cell(n, l, "l")
     _fill_f(n)
     row = _f_rows[n]
     return row[l] if l < len(row) else 0
@@ -145,17 +157,22 @@ def _counter(kind):
         raise ValueError(f"kind must be one of {sorted(_COUNTERS)}, got {kind!r}") from None
 
 
-def _row_start(n):
-    return (n + 1) // 2  # == ceil(n/2)
-
-
 def _band_rows(kind, max_n):
-    """Rows n = 0..max_n of the triangle's in-band counts, q = ceil(n/2)..C(n,2)."""
-    fn = _counter(kind)
+    """Rows n = 0..max_n of the triangle as ``(n, q0, counts)``, the counts
+    for q = q0..C(n,2), q0 = ceil(n/2), sliced from the filled table row.
+    Checks kind and max_n first, then fills one row per step, looking the
+    table up after each fill so that a rebound table is the one read."""
+    count = _counter(kind)
     if not 0 <= max_n <= TRIANGLE_MAX_N:
         raise ValueError(f"max_n must be within 0..{TRIANGLE_MAX_N}")
-    return [[fn(n, q) for q in range(_row_start(n), comb(n, 2) + 1)]
-            for n in range(max_n + 1)]
+
+    def walk():
+        for n in range(max_n + 1):
+            count(n, 0)
+            q0 = (n + 1) // 2
+            yield n, q0, (_d_rows if kind == "d" else _f_rows)[n][q0:]
+
+    return walk()
 
 
 @dataclass(frozen=True)
@@ -169,14 +186,12 @@ class CountTable:
     @classmethod
     def build(cls, kind, max_n):
         cells = {(n, q): v
-                 for n, row in enumerate(_band_rows(kind, max_n))
-                 for q, v in enumerate(row, _row_start(n))}
+                 for n, q0, row in _band_rows(kind, max_n)
+                 for q, v in enumerate(row, q0)}
         return cls(kind, max_n, cells)
 
     def rows(self):
-        return [[self.cells[(n, q)]
-                 for q in range(_row_start(n), comb(n, 2) + 1)]
-                for n in range(self.max_n + 1)]
+        return [row for _, _, row in _band_rows(self.kind, self.max_n)]
 
 
 def emit_triangle(kind, max_n, fmt="csv"):
@@ -188,12 +203,11 @@ def emit_triangle(kind, max_n, fmt="csv"):
     rows = _band_rows(kind, max_n)
     if fmt == "csv":
         lines = ["n,q,value"]
-        for n, row in enumerate(rows):
-            start = _row_start(n)
-            lines += [f"{n},{start + off},{v}" for off, v in enumerate(row)]
+        for n, q0, row in rows:
+            lines += [f"{n},{q},{v}" for q, v in enumerate(row, q0)]
         return "\n".join(lines) + "\n"
     if fmt == "json":
-        return json.dumps(rows) + "\n"
+        return json.dumps([row for _, _, row in rows]) + "\n"
     raise ValueError(f"unsupported format {fmt!r}")
 
 
@@ -223,17 +237,13 @@ class BFileDiff:
         return not self.mismatches
 
 
-def _triangle_cells(kind, max_n):
-    fn = _counter(kind)
-    for n in range(max_n + 1):
-        for q in range(_row_start(n), comb(n, 2) + 1):
-            yield n, q, fn(n, q)
-
-
 def diff_bfile(path, kind, max_n=TRIANGLE_MAX_N):
     """Compare a b-file (``index value`` per line, comments with '#') against
-    the triangle linearized by rows; empty mismatch list means agreement."""
-    _counter(kind)
+    the triangle linearized by rows; empty mismatch list means agreement.
+    Values are matched by position; the first index that does not follow
+    the one before it is reported as a warning."""
+    cells = ((n, q, v) for n, q0, row in _band_rows(kind, max_n)
+             for q, v in enumerate(row, q0))
     entries = []
     with open(path, encoding="ascii") as handle:
         for line_no, line in enumerate(handle, start=1):
@@ -253,9 +263,13 @@ def diff_bfile(path, kind, max_n=TRIANGLE_MAX_N):
     warnings = []
     if not entries:
         warnings.append("b-file contains no entries")
+    for (before, _, _), (index, _, line_no) in zip(entries, entries[1:]):
+        if index != before + 1:
+            warnings.append(f"line {line_no}: index {index} does not follow "
+                            f"{before}; values are compared by position")
+            break
     mismatches = []
     compared = 0
-    cells = _triangle_cells(kind, max_n)
     for index, value, line_no in entries:
         try:
             n, q, ours = next(cells)

@@ -206,6 +206,11 @@ def enumerate_d(n, q, cap=DEFAULT_ENUM_CAP):
     graphs); pass a larger cap explicitly to override.  Exact counts at any size come from the
     counting module instead.
     """
+    for name, value in (("n", n), ("q", q)):
+        try:
+            index(value)
+        except TypeError:
+            raise ValueError(f"{name} = {value!r} is not an integer") from None
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     if cap is not None and n > cap:

@@ -27,6 +27,10 @@ MAX_N = 1 << 15
 
 
 def _check_n(n):
+    try:
+        operator.index(n)
+    except TypeError:
+        raise ValueError(f"n = {n!r} is not an integer") from None
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     if n > MAX_N:
@@ -55,6 +59,10 @@ def unrank(n, k):
     """The unique pair (i, j) with rank(n, i, j) = k."""
     _check_n(n)
     top = n * (n - 1) // 2
+    try:
+        operator.index(k)
+    except TypeError:
+        raise ValueError(f"label {k!r} is not an integer") from None
     if not 1 <= k <= top:
         raise ValueError(f"label {k} outside J_N = 1..{top}")
     after = top - k  # labels above k

@@ -2,10 +2,15 @@
 the DOT/JSON agreement."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fbblat
 from fbblat import _kernel, cli, counting, render
 from fbblat.fbb import build_fbb
 from fbblat.poset import Poset
@@ -34,6 +39,18 @@ def test_unrank_command(capsys):
 def test_rank_domain_error_exits_2(capsys):
     code, _, err = run(capsys, "rank", "--n", "4", "3", "3")
     assert code == 2 and "error:" in err
+
+
+@pytest.mark.parametrize("argv,code,out,err", [
+    (["count", "d", "--n", "4", "--q", "3"], 0, "16\n", ""),
+    (["table", "d", "--max-n", "65"], 2, "", "error: max_n must be within 0..64\n"),
+])
+def test_module_entrypoint(argv, code, out, err):
+    src = str(Path(fbblat.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "fbblat", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
 
 
 def test_usage_error_exits_2(capsys):
@@ -205,6 +222,15 @@ def test_diff_bfile_command(tmp_path, capsys):
     path.write_text("".join(f"{i} {v}\n" for i, v in enumerate(values, 1)))
     code, out, _ = run(capsys, "diff-bfile", "d", str(path))
     assert code == 1 and "mismatch at" in out
+
+
+def test_diff_bfile_warns_of_an_index_gap(tmp_path, capsys):
+    path = tmp_path / "b.txt"
+    path.write_text("1 1\n2 1\n4 3\n")
+    code, out, err = run(capsys, "diff-bfile", "d", str(path))
+    assert code == 0 and out == "3 values compared, no mismatches\n"
+    assert err == ("warning: line 3: index 4 does not follow 2; "
+                   "values are compared by position\n")
 
 
 def test_diff_bfile_missing_file(capsys):

@@ -8,7 +8,7 @@ from math import comb
 
 import pytest
 
-from fbblat import counting
+from fbblat import cli, counting
 from fbblat.counting import (CountTable, count_d, count_d_oracle, count_f,
                              diff_bfile, emit_triangle)
 
@@ -115,6 +115,18 @@ def test_rejects_negative_arguments():
         count_f(2, -1)
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: count_d(2.5, 1), r"^n = 2\.5 is not an integer$"),
+    (lambda: count_d(4, 3.0), r"^q = 3\.0 is not an integer$"),
+    (lambda: count_f(3, 1.5), r"^l = 1\.5 is not an integer$"),
+    (lambda: count_f("3", 1), r"^n = '3' is not an integer$"),
+    (lambda: count_d_oracle(2.5, 1), r"^n = 2\.5 is not an integer$"),
+], ids=["d-n", "d-q", "f-l", "f-str", "oracle-n"])
+def test_rejects_non_integral_arguments(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 # -- triangle emission -----------------------------------------------------------
 
 def test_count_table_cells():
@@ -148,6 +160,27 @@ def test_emit_triangle_zero():
 def test_triangles_of_both_kinds_agree():
     for fmt in ("csv", "json"):
         assert emit_triangle("d", 64, fmt) == emit_triangle("f", 64, fmt), fmt
+
+
+@pytest.mark.parametrize("kind", ["d", "f"])
+def test_count_table_rows_are_the_json_rows(kind):
+    assert (CountTable.build(kind, 64).rows()
+            == json.loads(emit_triangle(kind, 64, "json")))
+
+
+@pytest.mark.parametrize("kind", ["d", "f"])
+def test_table_calls_the_counter_once_per_row(kind, monkeypatch, capsys):
+    counter = counting._COUNTERS[kind]
+    calls = []
+
+    def counted(n, q):
+        calls.append((n, q))
+        return counter(n, q)
+
+    monkeypatch.setitem(counting._COUNTERS, kind, counted)
+    assert cli.main(["table", kind, "--max-n", "64"]) == 0
+    assert capsys.readouterr().out.startswith("n,q,value\n0,0,1\n")
+    assert 0 < len(calls) <= 65
 
 
 def test_emit_triangle_rejects_bad_input():
@@ -222,6 +255,39 @@ def test_diff_bfile_skips_comments_and_counts_lines(tmp_path):
     assert len(diff.mismatches) == 1
     assert diff.mismatches[0].line_no == 5
     assert diff.mismatches[0].index == 3
+
+
+@pytest.mark.parametrize("indices,warned", [
+    ([1, 2, 3, 5, 6], "line 4: index 5 does not follow 3"),
+    ([1, 2, 2, 3, 4], "line 3: index 2 does not follow 2"),
+    ([7, 8, 9, 10, 11], None),
+], ids=["gap", "repeat", "consecutive"])
+def test_diff_bfile_warns_at_the_first_index_out_of_step(tmp_path, indices, warned):
+    values = _oracle_linear(4)[:5]  # the fifth cell is (4, 2)
+    values[4] += 1
+    path = tmp_path / "b.txt"
+    path.write_text("".join(f"{i} {v}\n" for i, v in zip(indices, values)))
+    diff = diff_bfile(path, "d")
+    # values are still compared by position
+    assert diff.compared == 5
+    assert [(m.n, m.q, m.index) for m in diff.mismatches] == [(4, 2, indices[4])]
+    assert diff.warnings == (
+        (f"{warned}; values are compared by position",) if warned else ())
+
+
+def test_diff_bfile_fills_no_row_past_the_file(tmp_path, monkeypatch):
+    monkeypatch.setattr(counting, "_d_rows", [[1], [0]])
+    values = _oracle_linear(5)[:10]  # the tenth cell is (5, 3)
+    path = tmp_path / "b.txt"
+    _write_bfile(path, values)
+    diff = diff_bfile(path, "d")
+    assert diff.ok and diff.compared == 10
+    assert len(counting._d_rows) == 6
+
+
+def test_diff_bfile_checks_kind_before_opening(tmp_path):
+    with pytest.raises(ValueError, match="kind must be one of"):
+        diff_bfile(tmp_path / "missing.txt", "x")
 
 
 def test_diff_bfile_overlong_file_warns(tmp_path):

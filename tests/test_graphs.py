@@ -233,6 +233,16 @@ def test_enumerate_d_rejects_tiny_n():
         enumerate_d(1, 0)
 
 
+@pytest.mark.parametrize("n,q,message", [
+    (4, 2.5, r"^q = 2\.5 is not an integer$"),
+    (4, 2.0, r"^q = 2\.0 is not an integer$"),
+    (2.5, 1, r"^n = 2\.5 is not an integer$"),
+], ids=["q-half", "q-whole-float", "n-half"])
+def test_enumerate_d_rejects_non_integral_arguments(n, q, message):
+    with pytest.raises(ValueError, match=message):
+        enumerate_d(n, q)
+
+
 @pytest.mark.parametrize("n,q,expected", [
     (4, 2, True),
     (4, 1, False),

@@ -111,6 +111,18 @@ def test_rank_rejects_non_integer_vertices(i, j, shown):
         rank(4, i, j)
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: rank(2.5, 1, 2), r"^n = 2\.5 is not an integer$"),
+    (lambda: pair_count(2.5), r"^n = 2\.5 is not an integer$"),
+    (lambda: unrank(4.0, 1), r"^n = 4\.0 is not an integer$"),
+    (lambda: unrank(4, 1.5), r"^label 1\.5 is not an integer$"),
+    (lambda: unrank(4, 2.0), r"^label 2\.0 is not an integer$"),
+], ids=["rank-n", "pair_count-n", "unrank-n", "unrank-k", "unrank-whole-float"])
+def test_rejects_non_integral_sizes_and_labels(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_label_edges_complete_graph():
     k4 = LabeledGraph(4, dict_pairs(4))
     labels = label_edges(k4)
