@@ -157,8 +157,7 @@ def run_verification(max_n, enum_cap=6):
     """The full invariant suite; returns (all_ok, checks) with one
     (name, ok, detail) triple per check.  An internal cross-check that
     raises RuntimeError fails the check it ran in, with its message."""
-    if max_n < 2:
-        raise ValueError(f"verify needs max_n >= 2, got {max_n}")
+    labeling._check_int("max_n", max_n, 2)
     checks = []
 
     def run(name, check, *args):

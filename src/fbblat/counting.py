@@ -47,10 +47,11 @@ counter call and slices out its band q = ceil(n/2)..C(n,2).
 from __future__ import annotations
 
 import json
-import operator
 import threading
 from dataclasses import dataclass
 from math import comb
+
+from .labeling import _check_int
 
 _d_rows = [[1], [0]]
 _f_rows = [[1], [0]]
@@ -82,19 +83,10 @@ def _fill_d(n):
             _d_rows.append(row)
 
 
-def _check_cell(n, q, name="q"):
-    for label, value in (("n", n), (name, q)):
-        try:
-            operator.index(value)
-        except TypeError:
-            raise ValueError(f"{label} = {value!r} is not an integer") from None
-    if n < 0 or q < 0:
-        raise ValueError(f"need n, {name} >= 0")
-
-
 def count_d(n, q):
     """Number of labeled graphs on n unisolated vertices with q edges."""
-    _check_cell(n, q)
+    _check_int("n", n, 0)
+    _check_int("q", q, 0)
     _fill_d(n)
     row = _d_rows[n]
     return row[q] if q < len(row) else 0
@@ -102,7 +94,8 @@ def count_d(n, q):
 
 def count_d_oracle(n, q):
     """Same count by inclusion-exclusion over isolated-vertex sets."""
-    _check_cell(n, q)
+    _check_int("n", n, 0)
+    _check_int("q", q, 0)
     return sum((-1) ** k * comb(n, k) * comb(comb(n - k, 2), q)
                for k in range(n + 1))
 
@@ -138,7 +131,8 @@ def _fill_f(n):
 def count_f(n, l):
     """Number of fundamental basic blocks on n comparable reducibles with
     nullity l."""
-    _check_cell(n, l, "l")
+    _check_int("n", n, 0)
+    _check_int("l", l, 0)
     _fill_f(n)
     row = _f_rows[n]
     return row[l] if l < len(row) else 0
@@ -163,7 +157,8 @@ def _band_rows(kind, max_n):
     Checks kind and max_n first, then fills one row per step, looking the
     table up after each fill so that a rebound table is the one read."""
     count = _counter(kind)
-    if not 0 <= max_n <= TRIANGLE_MAX_N:
+    _check_int("max_n", max_n, 0)
+    if max_n > TRIANGLE_MAX_N:
         raise ValueError(f"max_n must be within 0..{TRIANGLE_MAX_N}")
 
     def walk():
@@ -237,12 +232,13 @@ class BFileDiff:
         return not self.mismatches
 
 
-def diff_bfile(path, kind, max_n=TRIANGLE_MAX_N):
+def diff_bfile(path, kind):
     """Compare a b-file (``index value`` per line, comments with '#') against
-    the triangle linearized by rows; empty mismatch list means agreement.
+    the triangle through n = ``TRIANGLE_MAX_N``, linearized by rows; empty
+    mismatch list means agreement.
     Values are matched by position; the first index that does not follow
     the one before it is reported as a warning."""
-    cells = ((n, q, v) for n, q0, row in _band_rows(kind, max_n)
+    cells = ((n, q, v) for n, q0, row in _band_rows(kind, TRIANGLE_MAX_N)
              for q, v in enumerate(row, q0))
     entries = []
     with open(path, encoding="ascii") as handle:
@@ -275,7 +271,7 @@ def diff_bfile(path, kind, max_n=TRIANGLE_MAX_N):
             n, q, ours = next(cells)
         except StopIteration:
             warnings.append(
-                f"file extends beyond the triangle through n = {max_n}; "
+                f"file extends beyond the triangle through n = {TRIANGLE_MAX_N}; "
                 f"stopped before line {line_no}")
             break
         compared += 1

@@ -36,7 +36,7 @@ from .errors import (
 from .graphs import LabeledGraph, _mask_ranks, isolated_vertices
 # ``rank`` is unused here but stays importable as ``fbb.rank``, a binding
 # the benchmark's tracer tests rebind and check.
-from .labeling import rank, unrank  # noqa: F401
+from .labeling import _check_int, rank, unrank  # noqa: F401
 from .poset import Poset, _order_scan, is_lattice
 
 
@@ -139,8 +139,7 @@ def _assemble(n, ordered, pairs):
 
 def build_cf(n):
     """The complete fundamental basic block CF(n)."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    _check_int("n", n, 2)
     top = comb(n, 2)
     pairs = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
     return Fbb(n, (1 << top) - 1, _assemble(n, range(1, top + 1), pairs))
@@ -154,8 +153,7 @@ def build_fbb(n, ranks):
     up reducible; otherwise the rank set does not describe a member of
     F_n(l) and the error names the isolated reducibles.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    _check_int("n", n, 2)
     g = LabeledGraph.from_ranks(n, ranks)
     missing = isolated_vertices(g)
     if missing:

@@ -19,7 +19,7 @@ from operator import index
 
 from . import _kernel
 from .errors import EnumerationCapError
-from .labeling import rank, unrank
+from .labeling import _check_int, rank, unrank
 
 DEFAULT_ENUM_CAP = 7
 
@@ -36,8 +36,7 @@ def _built(cls, n, parts):
     ``(low, highs)`` parts, lazily.  n and the width C(n, 2) are checked and
     computed once, and each graph is two slot writes on a bare instance, so
     iteration makes no call per element."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    _check_int("n", n, 1)
     width = comb(n, 2)
     new = object.__new__
     for low, highs in parts:
@@ -58,8 +57,7 @@ class LabeledGraph:
     __slots__ = ("n", "mask")
 
     def __init__(self, n, edges=()):
-        if n < 1:
-            raise ValueError(f"need n >= 1, got {n}")
+        _check_int("n", n, 1)
         mask = 0
         for a, b in edges:
             if a == b:
@@ -76,8 +74,7 @@ class LabeledGraph:
     @classmethod
     def from_ranks(cls, n, ranks):
         """The graph whose edge labels are ``ranks``."""
-        if n < 1:
-            raise ValueError(f"need n >= 1, got {n}")
+        _check_int("n", n, 1)
         top = comb(n, 2)
         mask = 0
         for k in ranks:
@@ -189,8 +186,8 @@ def has_isolated_vertex(g):
 def check_bounds(n, q):
     """True iff floor((n+1)/2) <= q <= C(n,2), the band where graphs on n
     unisolated vertices with q edges exist."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    _check_int("n", n, 2)
+    _check_int("q", q, 0)
     return (n + 1) // 2 <= q <= comb(n, 2)
 
 
@@ -206,13 +203,8 @@ def enumerate_d(n, q, cap=DEFAULT_ENUM_CAP):
     graphs); pass a larger cap explicitly to override.  Exact counts at any size come from the
     counting module instead.
     """
-    for name, value in (("n", n), ("q", q)):
-        try:
-            index(value)
-        except TypeError:
-            raise ValueError(f"{name} = {value!r} is not an integer") from None
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    _check_int("n", n, 2)
+    _check_int("q", q, 0)
     if cap is not None and n > cap:
         raise EnumerationCapError(
             f"enumerate_d(n={n}) is above the cap {cap}; raise `cap` "

@@ -12,6 +12,10 @@ labels, so ``unrank`` finds a label's block with one integer square root.
 
 Labels are plain ints; indexing is 1-based throughout, and callers that host
 0-based conventions convert at this module's boundary.
+
+Every size and cell index of the package -- the n of a graph, a block or a
+pair chain, a count's q or l, a triangle's max_n -- is checked by
+``_check_int`` here: an integer, at least the least value of its domain.
 """
 
 from __future__ import annotations
@@ -26,26 +30,27 @@ from .errors import OrientationError
 MAX_N = 1 << 15
 
 
-def _check_n(n):
+def _check_int(name, value, least):
+    """Raise ValueError unless ``value`` is an integer >= ``least``."""
     try:
-        operator.index(n)
+        operator.index(value)
     except TypeError:
-        raise ValueError(f"n = {n!r} is not an integer") from None
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    if n > MAX_N:
-        raise ValueError(f"n = {n} exceeds the supported limit {MAX_N}")
+        raise ValueError(f"{name} = {value!r} is not an integer") from None
+    if value < least:
+        raise ValueError(f"need {name} >= {least}, got {value}")
 
 
 def pair_count(n):
     """N = C(n,2), the number of vertex pairs and the top of J_N."""
-    _check_n(n)
+    _check_int("n", n, 2)
+    if n > MAX_N:
+        raise ValueError(f"n = {n} exceeds the supported limit {MAX_N}")
     return comb(n, 2)
 
 
 def rank(n, i, j):
     """Label in J_N of the pair (i, j)."""
-    _check_n(n)
+    pair_count(n)  # checks n
     try:
         i, j = operator.index(i), operator.index(j)
     except TypeError:
@@ -57,8 +62,7 @@ def rank(n, i, j):
 
 def unrank(n, k):
     """The unique pair (i, j) with rank(n, i, j) = k."""
-    _check_n(n)
-    top = n * (n - 1) // 2
+    top = pair_count(n)
     try:
         operator.index(k)
     except TypeError:

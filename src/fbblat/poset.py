@@ -1,10 +1,10 @@
 """Finite posets presented by their cover relation.
 
-The cover list is the stored truth; comparability, lattice-ness, nullity,
-reducibility and dismantlability are all derived from it on demand.  The
-constructor rejects transitively implied covers, so what it stores is
-exactly the cover relation, once: per-element lower and upper cover masks,
-built once, which the kernels read.  Cover pairs, for equality, hashing and
+The per-element lower and upper cover masks are the stored truth;
+comparability, lattice-ness, nullity, reducibility and dismantlability are
+all derived from them on demand.  The constructor rejects transitively
+implied covers, so the masks hold exactly the cover relation, once, built
+once, and the kernels read them.  Cover pairs, for equality, hashing and
 rendering, are read off the upper masks in element order, which is sorted
 index order.  Lattice-ness and reducibility come from one kernel scan per
 poset, cached as element masks; the predicates decide on those masks, and

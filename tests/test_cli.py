@@ -44,6 +44,7 @@ def test_rank_domain_error_exits_2(capsys):
 @pytest.mark.parametrize("argv,code,out,err", [
     (["count", "d", "--n", "4", "--q", "3"], 0, "16\n", ""),
     (["table", "d", "--max-n", "65"], 2, "", "error: max_n must be within 0..64\n"),
+    (["count", "d", "--n", "4", "--q", "-1"], 2, "", "error: need q >= 0, got -1\n"),
 ])
 def test_module_entrypoint(argv, code, out, err):
     src = str(Path(fbblat.__file__).resolve().parents[1])
@@ -258,7 +259,7 @@ def test_verify_json_report(capsys):
 
 def test_verify_below_minimum_exits_2(capsys):
     code, _, err = run(capsys, "verify", "--max-n", "1")
-    assert code == 2 and "max_n >= 2" in err
+    assert (code, err) == (2, "error: need max_n >= 2, got 1\n")
 
 
 def test_verify_detects_injected_rank_fault(capsys, monkeypatch):

@@ -121,7 +121,22 @@ def test_rejects_negative_arguments():
     (lambda: count_f(3, 1.5), r"^l = 1\.5 is not an integer$"),
     (lambda: count_f("3", 1), r"^n = '3' is not an integer$"),
     (lambda: count_d_oracle(2.5, 1), r"^n = 2\.5 is not an integer$"),
-], ids=["d-n", "d-q", "f-l", "f-str", "oracle-n"])
+    (lambda: count_d(3.0, 1), r"^n = 3\.0 is not an integer$"),
+    (lambda: count_f(2.5, 1), r"^n = 2\.5 is not an integer$"),
+    (lambda: count_d_oracle(3.0, 1), r"^n = 3\.0 is not an integer$"),
+    (lambda: count_d(4, -1), r"^need q >= 0, got -1$"),
+    (lambda: count_d_oracle(4, -1), r"^need q >= 0, got -1$"),
+    (lambda: count_f(-1, 0), r"^need n >= 0, got -1$"),
+    (lambda: count_f(2, -1), r"^need l >= 0, got -1$"),
+    (lambda: emit_triangle("d", 2.5), r"^max_n = 2\.5 is not an integer$"),
+    (lambda: CountTable.build("f", 3.0), r"^max_n = 3\.0 is not an integer$"),
+    (lambda: emit_triangle("d", -1), r"^need max_n >= 0, got -1$"),
+    (lambda: cli.run_verification(2.5), r"^max_n = 2\.5 is not an integer$"),
+    (lambda: cli.run_verification(3.0), r"^max_n = 3\.0 is not an integer$"),
+], ids=["d-n", "d-q", "f-l", "f-str", "oracle-n", "d-whole-float-n",
+        "f-n", "oracle-whole-float-n", "d-q-negative", "oracle-q-negative",
+        "f-n-negative", "f-l-negative", "table-max_n", "table-whole-float-max_n",
+        "table-max_n-negative", "verify-max_n", "verify-whole-float-max_n"])
 def test_rejects_non_integral_arguments(call, message):
     with pytest.raises(ValueError, match=message):
         call()
@@ -290,10 +305,11 @@ def test_diff_bfile_checks_kind_before_opening(tmp_path):
         diff_bfile(tmp_path / "missing.txt", "x")
 
 
-def test_diff_bfile_overlong_file_warns(tmp_path):
+def test_diff_bfile_overlong_file_warns(tmp_path, monkeypatch):
+    monkeypatch.setattr(counting, "TRIANGLE_MAX_N", 3)
     path = tmp_path / "b.txt"
     _write_bfile(path, _oracle_linear(3) + [7, 7, 7])
-    diff = diff_bfile(path, "d", max_n=3)
+    diff = diff_bfile(path, "d")
     assert any("extends beyond" in w for w in diff.warnings)
     assert diff.compared == len(_oracle_linear(3))
 

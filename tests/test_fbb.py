@@ -123,6 +123,20 @@ def test_cf_rejects_small_n():
         build_cf(1)
 
 
+@pytest.mark.parametrize("build", [
+    build_cf,
+    lambda n: build_fbb(n, {1, 3}),
+], ids=["cf", "fbb"])
+@pytest.mark.parametrize("n,message", [
+    (1, r"^need n >= 2, got 1$"),
+    (2.5, r"^n = 2\.5 is not an integer$"),
+    (3.0, r"^n = 3\.0 is not an integer$"),
+], ids=["1", "2.5", "3.0"])
+def test_block_builders_check_n(build, n, message):
+    with pytest.raises(ValueError, match=message):
+        build(n)
+
+
 # -- build_fbb ----------------------------------------------------------------------
 
 def test_build_fbb_known_block(f4_1345_expected):

@@ -60,10 +60,16 @@ def test_rejects_non_integer_labels_and_vertices(build, message):
     lambda n: LabeledGraph.from_mask(n, 0),
     lambda n: LabeledGraph.from_ranks(n, []),
     lambda n: list(GraphSequence(n, [])),
-], ids=["from_mask", "from_ranks", "iter"])
-@pytest.mark.parametrize("n", [0, -2])
-def test_graphs_need_a_vertex(build, n):
-    with pytest.raises(ValueError, match=rf"^need n >= 1, got {n}$"):
+    lambda n: LabeledGraph(n),
+], ids=["from_mask", "from_ranks", "iter", "init"])
+@pytest.mark.parametrize("n,message", [
+    (0, r"^need n >= 1, got 0$"),
+    (-2, r"^need n >= 1, got -2$"),
+    (2.5, r"^n = 2\.5 is not an integer$"),
+    (3.0, r"^n = 3\.0 is not an integer$"),
+], ids=["0", "-2", "2.5", "3.0"])
+def test_graphs_need_a_vertex(build, n, message):
+    with pytest.raises(ValueError, match=message):
         build(n)
 
 
@@ -237,10 +243,16 @@ def test_enumerate_d_rejects_tiny_n():
     (4, 2.5, r"^q = 2\.5 is not an integer$"),
     (4, 2.0, r"^q = 2\.0 is not an integer$"),
     (2.5, 1, r"^n = 2\.5 is not an integer$"),
-], ids=["q-half", "q-whole-float", "n-half"])
+    (3.0, 1, r"^n = 3\.0 is not an integer$"),
+    (4, -1, r"^need q >= 0, got -1$"),
+    (1, 0, r"^need n >= 2, got 1$"),
+], ids=["q-half", "q-whole-float", "n-half", "n-whole-float", "q-negative",
+        "n-tiny"])
 def test_enumerate_d_rejects_non_integral_arguments(n, q, message):
-    with pytest.raises(ValueError, match=message):
-        enumerate_d(n, q)
+    # enumerate_d and check_bounds share one domain for the cell (n, q)
+    for call in (enumerate_d, check_bounds):
+        with pytest.raises(ValueError, match=message):
+            call(n, q)
 
 
 @pytest.mark.parametrize("n,q,expected", [

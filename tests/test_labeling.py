@@ -117,7 +117,11 @@ def test_rank_rejects_non_integer_vertices(i, j, shown):
     (lambda: unrank(4.0, 1), r"^n = 4\.0 is not an integer$"),
     (lambda: unrank(4, 1.5), r"^label 1\.5 is not an integer$"),
     (lambda: unrank(4, 2.0), r"^label 2\.0 is not an integer$"),
-], ids=["rank-n", "pair_count-n", "unrank-n", "unrank-k", "unrank-whole-float"])
+    (lambda: rank(3.0, 1, 2), r"^n = 3\.0 is not an integer$"),
+    (lambda: pair_count(3.0), r"^n = 3\.0 is not an integer$"),
+    (lambda: unrank(2.5, 1), r"^n = 2\.5 is not an integer$"),
+], ids=["rank-n", "pair_count-n", "unrank-n", "unrank-k", "unrank-whole-float",
+        "rank-whole-float-n", "pair_count-whole-float-n", "unrank-half-n"])
 def test_rejects_non_integral_sizes_and_labels(call, message):
     with pytest.raises(ValueError, match=message):
         call()
