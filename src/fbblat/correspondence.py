@@ -32,31 +32,14 @@ def phi(f):
 
 def phi_inverse(g):
     """Fundamental basic block of a labeled graph without isolated vertices,
-    whose edge mask is the block's rank set.
-
-    The labels and their pairs are read off the edge mask row by row: block
-    S_i is the next n - i bits, the pairs (i, i+1)..(i, n), so they come out
-    ascending and valid, and no label is checked or unranked again."""
+    whose edge mask is the block's rank set: each edge k = (i, j) of
+    ``g.ranks`` and ``g.edges`` glues c_k between u_i and u_j."""
     isolated = graphs.isolated_vertices(g)
     if isolated:
         raise UncoveredVertexError(
             "digraph has isolated vertices: "
             + ", ".join(f"v{v}" for v in isolated), isolated)
-    n, mask = g.n, g.mask
-    ordered, pairs = [], []
-    base = 0  # labels before block S_i
-    for i in range(1, n):
-        width = n - i
-        row = mask & ((1 << width) - 1)
-        mask >>= width
-        while row:
-            low = row & -row
-            row ^= low
-            step = low.bit_length()
-            ordered.append(base + step)
-            pairs.append((i, i + step))
-        base += width
-    return Fbb(n, g.mask, fbb._assemble(n, ordered, pairs))
+    return Fbb(g.n, g.mask, fbb._assemble(g.n, g.ranks, g.edges))
 
 
 @dataclass(frozen=True)

@@ -100,18 +100,11 @@ def adjunct(l1, l2, a, b):
     if l1._upper[l1.index_of(a)] >> l1.index_of(b) & 1:
         raise InvalidAdjunctPairError(
             f"({a!r}, {b!r}) is a covering pair; nothing fits strictly between")
-    bottom = _extreme(l2, l2._down)
-    top = _extreme(l2, l2._up)
+    bottom = l2.name_of(l2._down.index(0))
+    top = l2.name_of(l2._up.index(0))
     names = l1.names + l2.names
     covers = list(l1.covers) + list(l2.covers) + [(a, bottom), (top, b)]
     return Poset(names, covers)
-
-
-def _extreme(p, masks):
-    for i, mask in enumerate(masks):
-        if not mask:
-            return p.name_of(i)
-    raise NotALatticeError("lattice has no extreme element")  # unreachable
 
 
 def _assemble(n, ordered, pairs):
@@ -138,11 +131,10 @@ def _assemble(n, ordered, pairs):
 
 
 def build_cf(n):
-    """The complete fundamental basic block CF(n)."""
+    """The complete fundamental basic block CF(n) = phi_inverse(K_n)."""
     _check_int("n", n, 2)
-    top = comb(n, 2)
-    pairs = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
-    return Fbb(n, (1 << top) - 1, _assemble(n, range(1, top + 1), pairs))
+    k = LabeledGraph.from_mask(n, (1 << comb(n, 2)) - 1)
+    return Fbb(n, k.mask, _assemble(n, k.ranks, k.edges))
 
 
 def build_fbb(n, ranks):
@@ -202,7 +194,7 @@ def extract_adjunct_representation(f):
     n, mask, chain, terms = _reading(p)
     if (n, mask) != (f.n, f.mask):
         raise ExtractionUnsupportedError(
-            f"the poset reads as n = {n}, ranks {list(_mask_ranks(mask))}, "
+            f"the poset reads as n = {n}, ranks {_mask_ranks(mask)}, "
             f"not as the block's n = {f.n}, ranks {sorted(f.ranks)}")
     name = p.name_of
     return AdjunctRepresentation(

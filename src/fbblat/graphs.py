@@ -19,16 +19,20 @@ from operator import index
 
 from . import _kernel
 from .errors import EnumerationCapError
-from .labeling import _check_int, rank, unrank
+from .labeling import _check_int, rank
 
 DEFAULT_ENUM_CAP = 7
 
 
 def _mask_ranks(mask):
+    """Labels of the edges of ``mask``, ascending, as a list, so that
+    ``tuple`` copies it at its final size instead of resizing as it goes."""
+    out = []
     while mask:
         low = mask & -mask
-        yield low.bit_length()
+        out.append(low.bit_length())
         mask ^= low
+    return out
 
 
 def _built(cls, n, parts):
@@ -89,7 +93,20 @@ class LabeledGraph:
 
     @property
     def edges(self):
-        return tuple(unrank(self.n, k) for k in _mask_ranks(self.mask))
+        """Edges (i, j), i < j, in label order, read off the mask row by row:
+        block S_i is the next n - i bits, the pairs (i, i+1)..(i, n), and the
+        walk stops once no edge is left."""
+        n, mask, i = self.n, self.mask, 0
+        out = []
+        while mask:
+            i += 1
+            row = mask & ((1 << (n - i)) - 1)
+            mask >>= n - i
+            while row:
+                low = row & -row
+                row ^= low
+                out.append((i, i + low.bit_length()))
+        return tuple(out)
 
     arcs = edges
 

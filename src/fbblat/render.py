@@ -53,10 +53,10 @@ def poset_to_json(p):
     }, indent=2) + "\n"
 
 
-def poset_to_dot(p, name="poset"):
+def poset_to_dot(p):
     """Hasse diagram as a DOT digraph, covers drawn lower -> upper."""
     levels = _chain_levels(p)
-    lines = [f"digraph {name} {{", "  rankdir=BT;", "  node [shape=circle];"]
+    lines = ["digraph poset {", "  rankdir=BT;", "  node [shape=circle];"]
     for i, element in enumerate(p.names):
         attrs = f'label="{element}"'
         if levels is not None:
@@ -85,8 +85,8 @@ def graph_to_json(dg):
     }, indent=2) + "\n"
 
 
-def graph_to_dot(dg, name="graph_of"):
-    lines = [f"digraph {name} {{"]
+def graph_to_dot(dg):
+    lines = ["digraph graph_of {"]
     for v in range(1, dg.n + 1):
         lines.append(f'  "v{v}";')
     for (i, j), k in zip(dg.arcs, dg.ranks):

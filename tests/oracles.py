@@ -191,6 +191,22 @@ def dismantling_order_by_recount(names, covers):
     return tuple(order)
 
 
+def reversed_order(p):
+    """``p`` with its elements listed in reverse order, covers unchanged."""
+    return Poset(p.names[::-1], p.covers)
+
+
+def dual(p):
+    """The order dual of ``p``: every cover flipped, element order kept."""
+    return Poset(p.names, [(b, a) for a, b in p.covers])
+
+
+def mirrored(g):
+    """The labeled graph ``g`` with every vertex i renamed n + 1 - i."""
+    n = g.n
+    return LabeledGraph(n, [(n + 1 - j, n + 1 - i) for i, j in g.edges])
+
+
 def dict_pairs(n):
     """All pairs (i, j), i < j, in dictionary order via Python's tuple sort."""
     return sorted((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))

@@ -111,6 +111,21 @@ def test_verify_equivalence_structural_checks(monkeypatch):
     assert "MISMATCH" in poisoned.summary()
 
 
+@pytest.mark.parametrize("l,members,details", [(3, 16, 5), (5, 6, 5), (2, 3, 3)])
+def test_verify_equivalence_caps_the_failure_details(monkeypatch, l, members,
+                                                     details):
+    # every member fails once: five details at most, then one line
+    import fbblat.correspondence as corr
+
+    monkeypatch.setattr(corr, "nullity", lambda p: -1)
+    report = verify_equivalence(4, l)
+    assert report.enumerated == members
+    assert all(f.endswith(f"has nullity -1, wanted {l}")
+               for f in report.failures[:details])
+    assert report.failures[details:] == (
+        ("... further failures suppressed",) if members > details else ())
+
+
 def test_full_cells_satisfy_block_predicates():
     from fbblat.fbb import is_fundamental_basic_block
 

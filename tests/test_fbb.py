@@ -18,10 +18,11 @@ from fbblat.fbb import (AdjunctTerm, Fbb,
                         is_basic_block_universal, is_fundamental_basic_block)
 from fbblat.graphs import LabeledGraph, enumerate_d
 from fbblat.labeling import rank, unrank
-from fbblat.poset import (Poset, classify, is_dismantlable, is_lattice,
-                          is_rc_lattice, nullity, remove_element)
+from fbblat.poset import (Poset, classify, dismantling_order, is_dismantlable,
+                          is_lattice, is_rc_lattice, nullity, remove_element)
 
 import oracles
+from conftest import grid_poset
 
 
 # -- adjunct operation -----------------------------------------------------------
@@ -355,6 +356,36 @@ def test_repeated_adjunct_pair_is_not_fundamental():
         extract_adjunct_representation(block)
 
 
+def _with_pendants(below, above, first=False):
+    """CF(4) with a pendant element under u1 for each name of ``below`` and
+    over u4 for each of ``above``; listed first if ``first``, else last."""
+    cf4 = build_cf(4).poset
+    extra = [*below, *above]
+    names = extra + list(cf4.names) if first else list(cf4.names) + extra
+    covers = (list(cf4.covers) + [(s, "u1") for s in below]
+              + [("u4", t) for t in above])
+    return Poset(names, covers)
+
+
+@pytest.mark.parametrize("poset,message", [
+    # the first reducible apart from another, g10, is apart from g01 alone
+    # in the 3x3 grid and from g01 and g02 in the 3x4 one: the last is named
+    (grid_poset(3, 3), "reducibles 'g10' and 'g01' are incomparable"),
+    (grid_poset(3, 4), "reducibles 'g10' and 'g02' are incomparable"),
+    # stray doubly irreducible elements: the text names the last one
+    (_with_pendants([], ["t"]), "element 't' does not sit between two reducibles"),
+    (_with_pendants(["s"], ["t"]), "element 't' does not sit between two reducibles"),
+    # the only stray element is element 0
+    (_with_pendants(["s"], [], first=True),
+     "element 's' does not sit between two reducibles"),
+], ids=["grid-3x3", "grid-3x4", "pendant-top", "two-pendants", "pendant-first"])
+def test_reading_names_the_element_that_breaks_it(poset, message):
+    for read in (phi, extract_adjunct_representation):
+        with pytest.raises(ExtractionUnsupportedError) as err:
+            read(Fbb(4, 0, poset))
+        assert str(err.value) == message
+
+
 def test_block_is_read_once(monkeypatch):
     calls = []
     real = fbb._order_scan
@@ -369,6 +400,45 @@ def test_block_is_read_once(monkeypatch):
     assert extract_adjunct_representation(block).assemble() == block.poset
     assert is_fundamental_basic_block(block)
     assert calls == [block.poset]
+
+
+# -- element order and order duality --------------------------------------------
+
+_ORDERS = {
+    "reversed": oracles.reversed_order,
+    "dual": oracles.dual,
+    "reversed-dual": lambda p: oracles.reversed_order(oracles.dual(p)),
+}
+
+
+@pytest.mark.parametrize("order", _ORDERS)
+def test_every_block_reads_the_same_in_other_element_orders(order):
+    # the dual reads as the graph with every vertex i renamed n + 1 - i
+    for n, ranks in oracles.valid_rank_sets(5):
+        assembled = build_fbb(n, ranks).poset
+        p = _ORDERS[order](assembled)
+        g = LabeledGraph.from_ranks(n, ranks)
+        if "dual" in order:
+            g = oracles.mirrored(g)
+        where = f"{order} n={n} ranks={ranks}"
+        f = Fbb(n, g.mask, p)
+        assert (p == assembled) == (order == "reversed"), where
+        assert phi(f) == g, where
+        assert nullity(p) == len(ranks), where
+        assert len(classify(p).reducible) == n, where
+        assert is_basic_block_universal(p) and is_rc_lattice(p), where
+        assert is_fundamental_basic_block(f), where
+        assert extract_adjunct_representation(f).assemble() == p, where
+
+
+def test_dismantling_order_matches_the_recount_in_every_element_order():
+    for n, ranks in oracles.valid_rank_sets(4):
+        assembled = build_fbb(n, ranks).poset
+        for order, reorder in _ORDERS.items():
+            p = reorder(assembled)
+            assert (dismantling_order(p)
+                    == oracles.dismantling_order_by_recount(p.names, p.covers)), \
+                f"{order} n={n} ranks={ranks}"
 
 
 # -- index-based assembly and extraction against the name-based reference -------------

@@ -11,6 +11,7 @@ from fbblat.errors import EnumerationCapError
 from fbblat.graphs import (GraphSequence, LabeledGraph,
                            check_bounds, enumerate_d, has_isolated_vertex,
                            isolated_vertices, orient)
+from fbblat.labeling import unrank
 
 import oracles
 
@@ -25,6 +26,15 @@ def test_edges_normalize_and_roundtrip():
     assert g.edges == ((1, 2), (2, 4))
     assert g.ranks == (1, 5)
     assert LabeledGraph(4, g.edges) == g
+
+
+def test_edges_are_the_unranked_labels():
+    graphs = [LabeledGraph.from_mask(n, mask)
+              for n in range(1, 6) for mask in range(1 << comb(n, 2))]
+    # sparse: the first and last labels, and the end of row 1 and start of row 2
+    graphs.append(LabeledGraph.from_ranks(200, [1, 199, 200, 5000, 19899, 19900]))
+    for g in graphs:
+        assert g.edges == tuple(unrank(g.n, k) for k in g.ranks), g.mask
 
 
 def test_rejects_loops_and_out_of_range():
