@@ -12,7 +12,7 @@ Because of that, Q doubles as the identity of the block: two blocks are equal
 as canonical posets iff their rank sets agree.  Q is exactly the edge set of
 the block's labeled graph, so ``Fbb`` carries it as that graph's edge mask
 (bit k-1 for label k), the one form Q takes from enumeration through phi,
-phi_inverse and the predicates.  Blocks are built from Q as index-pair
+phi_inverse and the predicates.  Blocks are built from Q as name-pair
 covers under the names u<i>/x<i>/c<k>, written for rendering and never
 parsed back: ``_reading`` reads (n, Q) off the poset's order alone, and phi,
 extraction, the DOT levels in ``render`` and the fundamental-block predicate
@@ -112,8 +112,8 @@ def _assemble(n, ordered, pairs):
     between u_i and u_j for the matching (i, j) of ``pairs``.
 
     Elements come in name order: the base chain u1 [x1] u2 ... un, then the
-    c_k by ascending k.  The covers are written as index pairs directly, so
-    no name is looked up."""
+    c_k by ascending k.  The covers are the base chain's consecutive pairs,
+    then u_i < c_k < u_j per label, as name pairs."""
     consecutive = {i for i, j in pairs if j == i + 1}
     names = []
     u = [0] * (n + 1)  # u[i]: index of u_i
@@ -122,12 +122,13 @@ def _assemble(n, ordered, pairs):
         names.append(f"u{i}")
         if i in consecutive:
             names.append(f"x{i}")
-    covers = [(a, a + 1) for a in range(len(names) - 1)]
-    for c, (k, (i, j)) in enumerate(zip(ordered, pairs), len(names)):
-        names.append(f"c{k}")
-        covers.append((u[i], c))
-        covers.append((c, u[j]))
-    return Poset._from_index_covers(names, covers)
+    covers = list(zip(names, names[1:]))
+    for k, (i, j) in zip(ordered, pairs):
+        c = f"c{k}"
+        names.append(c)
+        covers.append((names[u[i]], c))
+        covers.append((c, names[u[j]]))
+    return Poset(names, covers)
 
 
 def build_cf(n):

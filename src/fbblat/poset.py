@@ -44,11 +44,6 @@ class ReducibilityReport:
     doubly_irreducible: frozenset
 
 
-class _IndexPairs(tuple):
-    """Cover pairs given as element indices, which the constructor takes
-    without resolving names."""
-
-
 class Poset:
     __slots__ = ("_names", "_index", "_up", "_down", "_lower", "_upper",
                  "_cache")
@@ -61,21 +56,13 @@ class Poset:
         if len(index) != len(names):
             dup = next(name for pos, name in enumerate(names) if index[name] != pos)
             raise MalformedPosetError(f"duplicate element name {dup!r}")
-        if isinstance(covers, _IndexPairs):
-            pairs = covers
-        else:
-            pairs = []
-            for lo, hi in covers:
-                try:
-                    pairs.append((index[lo], index[hi]))
-                except KeyError as exc:
-                    raise MalformedPosetError(
-                        f"cover endpoint {exc.args[0]!r} is not an element") from None
+        try:
+            pairs = [(index[lo], index[hi]) for lo, hi in covers]
+        except KeyError as exc:
+            raise MalformedPosetError(
+                f"cover endpoint {exc.args[0]!r} is not an element") from None
         size = len(names)
         for a, b in pairs:
-            if not (0 <= a < size and 0 <= b < size):
-                raise MalformedPosetError(
-                    f"cover ({a}, {b}) indexes outside the {size} elements")
             if a == b:
                 raise MalformedPosetError(f"self-cover on {names[a]!r}")
         try:
@@ -97,12 +84,6 @@ class Poset:
         self._lower = tuple(lower)
         self._upper = tuple(upper)
         self._cache = {}
-
-    @classmethod
-    def _from_index_covers(cls, names, covers):
-        """Poset on ``names`` from (lower, upper) index pairs into it: the
-        constructor, with its checks, minus the name lookups."""
-        return cls(names, _IndexPairs(covers))
 
     @classmethod
     def chain(cls, names):

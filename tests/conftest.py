@@ -9,6 +9,18 @@ sys.path.insert(0, str(Path(__file__).parent))  # tests import `oracles`
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
+# Every CLI output pinned byte for byte: (argv, file under GOLDEN_DIR).  The
+# text cases run the default ``--format``.
+_R1345 = ("--n", "4", "--ranks", "1,3,4,5")
+GOLDEN_CASES = [
+    (("fbb", *_R1345, "--format", "dot"), "fbb_n4_r1345.dot"),
+    (("fbb", *_R1345, "--format", "json"), "fbb_n4_r1345.json"),
+    (("graph-of", *_R1345, "--format", "dot"), "graph_n4_r1345.dot"),
+    (("graph-of", *_R1345, "--format", "json"), "graph_n4_r1345.json"),
+    (("fbb", *_R1345), "fbb_n4_r1345.txt"),
+    (("graph-of", *_R1345), "graph_n4_r1345.txt"),
+]
+
 # CF(4) written out by hand: the maximal chain u1 x1 u2 x2 u3 x3 u4, plus one
 # doubly irreducible c_k strictly between u_i and u_j for every pair i < j,
 # with k the pair's dictionary-order position.

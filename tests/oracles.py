@@ -6,9 +6,9 @@ scans; none of these touches the package's kernels.  The kernel's earlier
 element-pair reducibility scan, over every incomparable pair, is kept as
 the reference for the kernel that reads only each element's covers.
 The name-based block assembly and extraction are the package's earlier
-routines, kept as the reference for index-based assembly and for extraction
-read from the order: they build and read posets through the public
-constructor and name lookups.  The counting references are the block
+routines, kept as the reference for assembly from a graph's edges and for
+extraction read from the order: they place every element by ``rank`` and
+``unrank``, and read blocks back by parsing names.  The counting references are the block
 recurrence as its literal triple sum and inclusion-exclusion over forced
 isolated-vertex sets, both from ``math.comb`` alone.
 """

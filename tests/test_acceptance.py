@@ -28,7 +28,7 @@ from fbblat.poset import (Poset, classify, is_dismantlable, is_lattice,
                           is_rc_lattice, nullity, remove_element)
 
 import oracles
-from conftest import GOLDEN_DIR
+from conftest import GOLDEN_CASES, GOLDEN_DIR
 
 
 @contextmanager
@@ -158,17 +158,7 @@ def test_c09_existence_band():
 
 def test_c10_golden_regression(capsys):
     with criterion(10, "byte-stable golden outputs for the n=4 {1,3,4,5} block"):
-        cases = [
-            (("fbb", "--n", "4", "--ranks", "1,3,4,5", "--format", "dot"),
-             "fbb_n4_r1345.dot"),
-            (("fbb", "--n", "4", "--ranks", "1,3,4,5", "--format", "json"),
-             "fbb_n4_r1345.json"),
-            (("graph-of", "--n", "4", "--ranks", "1,3,4,5", "--format", "dot"),
-             "graph_n4_r1345.dot"),
-            (("graph-of", "--n", "4", "--ranks", "1,3,4,5", "--format", "json"),
-             "graph_n4_r1345.json"),
-        ]
-        for argv, golden in cases:
+        for argv, golden in GOLDEN_CASES:
             assert cli.main(list(argv)) == 0
             out = capsys.readouterr().out
             assert out == (GOLDEN_DIR / golden).read_text(), golden

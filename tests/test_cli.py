@@ -6,16 +6,17 @@ import os
 import re
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
 
 import fbblat
-from fbblat import _kernel, cli, counting, render
+from fbblat import _kernel, cli, counting, fbb, render
 from fbblat.fbb import build_fbb
 from fbblat.poset import Poset
 
-from conftest import GOLDEN_DIR
+from conftest import GOLDEN_CASES, GOLDEN_DIR
 
 
 def run(capsys, *argv):
@@ -99,6 +100,12 @@ def test_pair_tokens_match_plain_ranks(capsys):
     assert plain == tokens
 
 
+def test_empty_rank_tokens_are_skipped(capsys):
+    _, plain, _ = run(capsys, "fbb", "--n", "4", "--ranks", "1,3,4,5")
+    code, gaps, _ = run(capsys, "fbb", "--n", "4", "--ranks", "1,,3,4,5,")
+    assert code == 0 and gaps == plain
+
+
 def test_graph_of_single_arc(capsys):
     code, out, _ = run(capsys, "graph-of", "--n", "2", "--ranks", "1",
                        "--format", "json")
@@ -115,16 +122,7 @@ def test_graph_of_full_ranks_is_complete(capsys):
 
 # -- golden regression ------------------------------------------------------------------
 
-@pytest.mark.parametrize("argv,golden", [
-    (("fbb", "--n", "4", "--ranks", "1,3,4,5", "--format", "dot"),
-     "fbb_n4_r1345.dot"),
-    (("fbb", "--n", "4", "--ranks", "1,3,4,5", "--format", "json"),
-     "fbb_n4_r1345.json"),
-    (("graph-of", "--n", "4", "--ranks", "1,3,4,5", "--format", "dot"),
-     "graph_n4_r1345.dot"),
-    (("graph-of", "--n", "4", "--ranks", "1,3,4,5", "--format", "json"),
-     "graph_n4_r1345.json"),
-])
+@pytest.mark.parametrize("argv,golden", GOLDEN_CASES)
 def test_golden_outputs(capsys, argv, golden):
     code, out, _ = run(capsys, *argv)
     assert code == 0
@@ -286,8 +284,6 @@ def test_verify_names_the_cell_of_a_misassembled_block(capsys, monkeypatch,
     # and, per variant, (i, j - 1) is a new pair (another valid rank set, so
     # phi's graph differs) or one the block already realizes (a repeated
     # pair, which phi cannot read)
-    from fbblat import fbb
-
     real = fbb._assemble
 
     def misglued(n, ordered, pairs):
@@ -353,6 +349,18 @@ def _count_row_fault(table):
     return install
 
 
+def _drop_last_label_of_complete(monkeypatch):
+    """Assemble CF(n), n >= 3, without its last c_k."""
+    real = fbb._assemble
+
+    def short(n, ordered, pairs):
+        if n >= 3 and len(ordered) == comb(n, 2):
+            ordered, pairs = ordered[:-1], pairs[:-1]
+        return real(n, ordered, pairs)
+
+    monkeypatch.setattr(fbb, "_assemble", short)
+
+
 @pytest.mark.parametrize("install,first,detail", [
     (_kernel_fault("reducibility", lambda r, *_: (False, r[1], r[2])),
      "cf-structure n=2", "not lattice; not a fundamental basic block"),
@@ -380,8 +388,11 @@ def _count_row_fault(table):
     (_count_row_fault("_d_rows"),
      "count-agreement n=4", "d(4,3) disagrees with inclusion-exclusion"),
     (_count_row_fault("_f_rows"), "count-agreement n=4", "f(4,3) != d(4,3)"),
+    (_drop_last_label_of_complete,
+     "cf-structure n=3", "|elements| = 6; |covers| = 7; nullity = 2"),
 ], ids=["lattice-flag", "join-reducible-bit", "closure", "basic-block",
-        "nullity", "unisolated-masks", "isolated-vertex", "count-d", "count-f"])
+        "nullity", "unisolated-masks", "isolated-vertex", "count-d", "count-f",
+        "cf-short"])
 def test_verify_names_the_first_check_a_fault_breaks(capsys, monkeypatch,
                                                      install, first, detail):
     install(monkeypatch)

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from fbblat import _kernel, fbb
 from fbblat.correspondence import phi
 from fbblat.errors import (DisjointnessError, ExtractionUnsupportedError,
-                           InvalidAdjunctPairError, UncoveredVertexError)
+                           InvalidAdjunctPairError, NotALatticeError,
+                           UncoveredVertexError)
 from fbblat.fbb import (AdjunctTerm, Fbb,
                         adjunct, build_cf, build_fbb,
                         extract_adjunct_representation,
@@ -51,6 +52,14 @@ def test_adjunct_rejects_incomparable_pair():
 def test_adjunct_rejects_shared_names():
     with pytest.raises(DisjointnessError):
         adjunct(Poset.chain("abc"), Poset(["a"], []), "a", "c")
+
+
+def test_adjunct_rejects_non_lattices():
+    vee = Poset.from_covers([("a", "c"), ("b", "c")])
+    with pytest.raises(NotALatticeError, match="the base"):
+        adjunct(vee, Poset(["p"], []), "a", "c")
+    with pytest.raises(NotALatticeError, match="the glued part"):
+        adjunct(build_cf(3).poset, Poset(["p", "q"], []), "u1", "u3")
 
 
 def test_iterated_adjunct_reproduces_cf4(cf4_expected):
@@ -441,7 +450,7 @@ def test_dismantling_order_matches_the_recount_in_every_element_order():
                 f"{order} n={n} ranks={ranks}"
 
 
-# -- index-based assembly and extraction against the name-based reference -------------
+# -- assembly and extraction against the name-based reference -------------------------
 
 def _assert_same_block(n, ranks):
     where = f"n={n} Q={sorted(ranks)}"

@@ -314,3 +314,10 @@ def test_graph_equality_is_mask_equality():
     assert a == b and hash(a) == hash(b)
     assert a != c
     assert orient(a) is a
+    assert LabeledGraph(2, [(1, 2)]) != 5
+
+
+def test_reprs():
+    assert (repr(LabeledGraph(4, [(3, 4), (1, 2)]))
+            == "LabeledGraph(n=4, edges=[(1, 2), (3, 4)])")
+    assert repr(enumerate_d(4, 3)) == "GraphSequence(n=4, len=16)"

@@ -47,24 +47,9 @@ def test_rejects_empty():
         Poset([], [])
 
 
-@pytest.mark.parametrize("names,covers", [
-    ("abc", [(0, 1), (1, 2), (2, 0)]),  # cycle
-    ("abc", [(0, 1), (1, 2), (0, 2)]),  # implied by transitivity
-    (["a", "a"], []),
-    ("ab", [(0, 0)]),
-    ("ab", [(0, 2)]),
-    ("ab", [(-1, 0)]),
-    ([], []),
-])
-def test_index_constructor_rejects_malformed_input(names, covers):
-    with pytest.raises(MalformedPosetError):
-        Poset._from_index_covers(names, covers)
-
-
-def test_index_constructor_matches_name_constructor():
+def test_constructor_ignores_cover_order_and_repeats():
     p = Poset.from_covers(CF4_COVER_LIST)
-    pairs = [(p.index_of(a), p.index_of(b)) for a, b in CF4_COVER_LIST]
-    q = Poset._from_index_covers(p.names, pairs[::-1] + pairs[:3])
+    q = Poset(p.names, CF4_COVER_LIST[::-1] + CF4_COVER_LIST[:3])
     assert ((q.names, q._index_covers(), q._up, q._down)
             == (p.names, p._index_covers(), p._up, p._down))
 
@@ -249,6 +234,11 @@ def test_remove_unknown_element():
         remove_element(Poset.chain("ab"), "z")
 
 
+def test_restrict_rejects_unknown_name(cf4_expected):
+    with pytest.raises(KeyError):
+        cf4_expected.restrict(["u1", "z"])
+
+
 def test_remove_c6_from_cf4(cf4_expected):
     q = remove_element(cf4_expected, "c6")
     assert len(q) == 12
@@ -387,3 +377,7 @@ def test_equality_is_name_based(cf4_expected):
     assert rebuilt == cf4_expected
     assert hash(rebuilt) == hash(cf4_expected)
     assert remove_element(cf4_expected, "c6") != cf4_expected
+
+
+def test_iteration_yields_the_names_in_element_order(cf4_expected):
+    assert tuple(cf4_expected) == cf4_expected.names
