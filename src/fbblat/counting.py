@@ -7,7 +7,7 @@
 with N = C(n,2), d(0,0) = 1 and d(n,0) = d(0,q) = 0 otherwise (values with a
 negative first argument are 0, which makes the n-2 term total).  The division
 by q must be exact; a remainder would mean the recurrence is wrong as coded,
-so it raises instead of truncating.
+so it raises an internal RuntimeError instead of truncating.
 
 ``count_f`` fills the block recurrence
 
@@ -76,7 +76,7 @@ def _fill_d(n):
                 if q - 1 < len(prev2):
                     acc += big_n * prev2[q - 1]
                 if acc % q:
-                    raise ArithmeticError(
+                    raise RuntimeError(
                         f"internal error: d({m},{q}) recurrence value {acc} is "
                         f"not divisible by {q}")
                 row[q] = acc // q
@@ -112,7 +112,7 @@ def _fill_f(n):
         return
     with _fill_lock:
         if len(_p_rows) != len(_f_rows):
-            raise ArithmeticError(
+            raise RuntimeError(
                 f"internal error: {len(_f_rows)} rows of f but {len(_p_rows)} "
                 f"rows of (1+y)^i f")
         while len(_f_rows) <= n:

@@ -56,6 +56,11 @@ def f4_1345_expected():
     return Poset.from_covers(F4_1345_COVER_LIST)
 
 
+def strict_order(p):
+    """The strict order ``p.lt`` decides, as name pairs."""
+    return {(a, b) for a in p.names for b in p.names if p.lt(a, b)}
+
+
 def grid_poset(rows, cols):
     """Product of two chains, covers along both axes."""
     covers = []

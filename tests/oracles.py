@@ -267,8 +267,9 @@ def unisolated_masks_by_scan(nv, q):
 
 
 def assemble_by_names(n, rankset):
-    """Block of the rank set written as u<i>/x<i>/c<k> name covers and
-    built through the public constructor, which resolves every name."""
+    """Block of the rank set as raw ``(names, covers)`` lists: u<i>/x<i>/c<k>
+    names in element order and their cover name pairs, never handed to
+    ``Poset``, so a comparison against them does not share its constructor."""
     chain = []
     for i in range(1, n):
         chain.append(f"u{i}")
@@ -282,7 +283,7 @@ def assemble_by_names(n, rankset):
         i, j = unrank(n, k)
         covers.append((f"u{i}", f"c{k}"))
         covers.append((f"c{k}", f"u{j}"))
-    return Poset(names, covers)
+    return names, covers
 
 
 def extract_by_names(f):

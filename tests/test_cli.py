@@ -246,6 +246,12 @@ def test_verify_passes(capsys):
     assert "[FAIL]" not in out
 
 
+def test_verify_checks_cf_and_counts_to_n_20(capsys):
+    code, out, _ = run(capsys, "verify", "--max-n", "20", "--enum-cap", "2")
+    assert code == 0
+    assert out.endswith("\n59/59 checks passed\n")
+
+
 def test_verify_json_report(capsys):
     code, out, _ = run(capsys, "verify", "--max-n", "3", "--format", "json")
     assert code == 0
@@ -265,15 +271,35 @@ def test_verify_detects_injected_rank_fault(capsys, monkeypatch):
 
     true_rank = labeling.rank
 
-    def broken(n, i, j):
-        value = true_rank(n, i, j)
-        return 1 if (n, i, j) == (3, 2, 3) else value
+    # 1 repeats a label; 0 and N + 1 = 4 fall outside J_N, which unrank
+    # refuses inside the check
+    for label, detail in ((1, "unrank(rank(2,3)) != (2,3)"),
+                          (0, "label 0 outside J_N = 1..3"),
+                          (4, "label 4 outside J_N = 1..3")):
+        def broken(n, i, j, label=label):
+            value = true_rank(n, i, j)
+            return label if (n, i, j) == (3, 2, 3) else value
 
-    monkeypatch.setattr(labeling, "rank", broken)
-    code, out, err = run(capsys, "verify", "--max-n", "3")
+        monkeypatch.setattr(labeling, "rank", broken)
+        code, out, err = run(capsys, "verify", "--max-n", "3")
+        assert code == 1
+        assert err == ("verification failed, first failing check: "
+                       "rank-round-trip n=3\n")
+        assert f"[FAIL] rank-round-trip n=3: {detail}\n" in out
+
+
+def test_verify_fails_the_check_whose_count_is_not_exact(capsys, monkeypatch):
+    # tables of its own with d(3,3) put at 2: row 3 disagrees with the
+    # oracle, and filling row 4 meets a recurrence value q does not divide
+    monkeypatch.setattr(counting, "_d_rows", [[1], [0], [0, 1], [0, 0, 3, 2]])
+    for name in ("_f_rows", "_p_rows"):
+        monkeypatch.setattr(counting, name, getattr(counting, name)[:2])
+    code, out, err = run(capsys, "verify", "--max-n", "4")
     assert code == 1
-    assert "rank-round-trip n=3" in err
-    assert "[FAIL] rank-round-trip n=3" in out
+    assert err == ("verification failed, first failing check: "
+                   "count-agreement n=3\n")
+    assert ("[FAIL] count-agreement n=4: internal error: d(4,5) recurrence "
+            "value 36 is not divisible by 5\n") in out
 
 
 @pytest.mark.parametrize("repeated", [False, True])
@@ -361,6 +387,19 @@ def _drop_last_label_of_complete(monkeypatch):
     monkeypatch.setattr(fbb, "_assemble", short)
 
 
+def _repeat_first_label(monkeypatch):
+    """Assemble blocks on 4 reducibles with 2-5 labels under the first
+    label's name twice and without the last label."""
+    real = fbb._assemble
+
+    def repeated(n, ordered, pairs):
+        if n == 4 and 2 <= len(ordered) <= 5:
+            ordered = [ordered[0], *ordered[:-1]]
+        return real(n, ordered, pairs)
+
+    monkeypatch.setattr(fbb, "_assemble", repeated)
+
+
 @pytest.mark.parametrize("install,first,detail", [
     (_kernel_fault("reducibility", lambda r, *_: (False, r[1], r[2])),
      "cf-structure n=2", "not lattice; not a fundamental basic block"),
@@ -390,9 +429,13 @@ def _drop_last_label_of_complete(monkeypatch):
     (_count_row_fault("_f_rows"), "count-agreement n=4", "f(4,3) != d(4,3)"),
     (_drop_last_label_of_complete,
      "cf-structure n=3", "|elements| = 6; |covers| = 7; nullity = 2"),
+    (_repeat_first_label,
+     "equivalence n=4 l=2", "n=4 l=2: enumerated=3 d=3 f=3 [MISMATCH]   "
+     "phi_inverse(((1, 2), (3, 4))) has no block: duplicate element name "
+     "'c1'"),
 ], ids=["lattice-flag", "join-reducible-bit", "closure", "basic-block",
         "nullity", "unisolated-masks", "isolated-vertex", "count-d", "count-f",
-        "cf-short"])
+        "cf-short", "repeated-label"])
 def test_verify_names_the_first_check_a_fault_breaks(capsys, monkeypatch,
                                                      install, first, detail):
     install(monkeypatch)

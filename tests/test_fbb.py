@@ -23,7 +23,7 @@ from fbblat.poset import (Poset, classify, dismantling_order, is_dismantlable,
                           is_lattice, is_rc_lattice, nullity, remove_element)
 
 import oracles
-from conftest import grid_poset
+from conftest import grid_poset, strict_order
 
 
 # -- adjunct operation -----------------------------------------------------------
@@ -452,14 +452,19 @@ def test_dismantling_order_matches_the_recount_in_every_element_order():
 
 # -- assembly and extraction against the name-based reference -------------------------
 
+def _assert_assembled_as(p, names, covers, where):
+    """``p`` has the reference's elements and covers, and the order ``p.lt``
+    decides is the cover list's closure as networkx computes it."""
+    assert p.names == tuple(names), where
+    assert set(p.covers) == set(covers), where
+    assert strict_order(p) == oracles.order_pairs(names, covers), where
+
+
 def _assert_same_block(n, ranks):
     where = f"n={n} Q={sorted(ranks)}"
     block = build_fbb(n, ranks)
-    p, ref = block.poset, oracles.assemble_by_names(n, ranks)
-    assert p.names == ref.names, where
-    assert p._index_covers() == ref._index_covers(), where
-    assert p._up == ref._up, where
-    assert p._down == ref._down, where
+    _assert_assembled_as(block.poset, *oracles.assemble_by_names(n, ranks),
+                         where)
     assert (extract_adjunct_representation(block)
             == oracles.extract_by_names(block)), where
 
@@ -469,9 +474,8 @@ def test_assembly_matches_name_based_reference():
         _assert_same_block(n, frozenset(ranks))
     for n in range(2, 8):
         cf = build_cf(n)
-        ref = oracles.assemble_by_names(n, cf.ranks)
-        assert ((cf.poset.names, cf.poset._index_covers())
-                == (ref.names, ref._index_covers())), n
+        _assert_assembled_as(cf.poset, *oracles.assemble_by_names(n, cf.ranks),
+                             f"CF({n})")
 
 
 @st.composite

@@ -15,7 +15,7 @@ from fbblat.poset import (Poset, classify, dismantling_order, is_dismantlable,
                           is_lattice, is_rc_lattice, nullity, remove_element)
 
 import oracles
-from conftest import CF4_COVER_LIST, diamond_poset, grid_poset
+from conftest import CF4_COVER_LIST, diamond_poset, grid_poset, strict_order
 
 
 # -- construction ---------------------------------------------------------------
@@ -56,23 +56,18 @@ def test_constructor_ignores_cover_order_and_repeats():
 
 # -- transitive order -----------------------------------------------------------
 
-def _strict_order(p):
-    """The strict order ``p.lt`` decides, as name pairs."""
-    return {(a, b) for a in p.names for b in p.names if p.lt(a, b)}
-
-
 def test_order_of_chain():
     p = Poset.chain("abc")
-    assert _strict_order(p) == {("a", "b"), ("b", "c"), ("a", "c")}
+    assert strict_order(p) == {("a", "b"), ("b", "c"), ("a", "c")}
 
 
 def test_order_of_singleton():
-    assert _strict_order(Poset(["a"], [])) == set()
+    assert strict_order(Poset(["a"], [])) == set()
 
 
 def test_order_of_cf4_matches_oracle(cf4_expected):
     expected = oracles.order_pairs(cf4_expected.names, CF4_COVER_LIST)
-    assert _strict_order(cf4_expected) == expected
+    assert strict_order(cf4_expected) == expected
     assert cf4_expected.lt("u1", "c6")
     assert cf4_expected.lt("c1", "u4")
     assert not cf4_expected.comparable("c1", "c2")
@@ -83,7 +78,7 @@ def test_order_is_antisymmetric_on_random_blocks():
     for _ in range(25):
         n = rng.randint(2, 5)
         p = build_cf(n).poset
-        order = _strict_order(p)
+        order = strict_order(p)
         assert order == oracles.order_pairs(p.names, p.covers)
         assert not any((b, a) in order for a, b in order)
 
