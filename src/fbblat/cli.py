@@ -73,7 +73,7 @@ def _cmd_count(args):
 
 
 def _cmd_table(args):
-    render.write(counting.emit_triangle(args.kind, args.max_n, args.format),
+    render.write(counting.triangle_chunks(args.kind, args.max_n, args.format),
                  args.output)
     return 0
 
@@ -240,7 +240,7 @@ def build_parser():
     p = sub.add_parser("table", help="the whole triangle up to max-n")
     p.add_argument("kind", choices=("d", "f"))
     p.add_argument("--max-n", type=int, required=True)
-    add_output(p, ("csv", "json"), "csv")
+    add_output(p, counting._TRIANGLE_FORMATS, "csv")
     p.set_defaults(handler=_cmd_table)
 
     p = sub.add_parser("verify", help="run the full invariant suite")

@@ -41,7 +41,11 @@ raises instead of pairing a row of f with the wrong P.
 
 The triangle that ``emit_triangle``, ``CountTable`` and ``diff_bfile``
 show is read row by row from these tables: one walk fills row n with one
-counter call and slices out its band q = ceil(n/2)..C(n,2).
+counter call and slices out its band q = ceil(n/2)..C(n,2).  Emission
+(``triangle_chunks``) runs that walk to the end before it yields anything,
+then yields one chunk of text per row, so ``fbblat table`` writes the
+triangle a row at a time and writes nothing when an argument or a fill
+fails.
 """
 
 from __future__ import annotations
@@ -189,21 +193,47 @@ class CountTable:
         return [row for _, _, row in _band_rows(self.kind, self.max_n)]
 
 
+def _csv_chunks(rows):
+    yield "n,q,value\n"
+    for n, q0, row in rows:
+        yield "".join([f"{n},{q},{v}\n" for q, v in enumerate(row, q0)])
+
+
+def _json_chunks(rows):
+    sep = "["
+    for _, _, row in rows:
+        yield sep + json.dumps(row)
+        sep = ", "
+    yield "]\n"
+
+
+_TRIANGLE_FORMATS = {"csv": _csv_chunks, "json": _json_chunks}
+
+
+def triangle_chunks(kind, max_n, fmt="csv"):
+    """The text of ``emit_triangle`` as an iterator of chunks: for ``csv``
+    the header, then one chunk per row n; for ``json`` one chunk per row
+    and the closing bracket.
+
+    Checks kind, max_n and fmt, in that order, and fills every row before
+    it returns, so a bad argument or a fill error raises here, before any
+    chunk exists.
+    """
+    rows = _band_rows(kind, max_n)
+    try:
+        chunks = _TRIANGLE_FORMATS[fmt]
+    except KeyError:
+        raise ValueError(f"unsupported format {fmt!r}") from None
+    return chunks(list(rows))
+
+
 def emit_triangle(kind, max_n, fmt="csv"):
     """Triangle rows n = 0..max_n, columns q = ceil(n/2)..C(n,2).
 
     ``csv`` emits one `n,q,value` line per cell under a header; ``json``
     emits an array of row arrays (values only).
     """
-    rows = _band_rows(kind, max_n)
-    if fmt == "csv":
-        lines = ["n,q,value"]
-        for n, q0, row in rows:
-            lines += [f"{n},{q},{v}" for q, v in enumerate(row, q0)]
-        return "\n".join(lines) + "\n"
-    if fmt == "json":
-        return json.dumps([row for _, _, row in rows]) + "\n"
-    raise ValueError(f"unsupported format {fmt!r}")
+    return "".join(triangle_chunks(kind, max_n, fmt))
 
 
 # -- b-file comparison ----------------------------------------------------------

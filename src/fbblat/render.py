@@ -24,13 +24,21 @@ from .fbb import _reading
 from .poset import _order_scan
 
 
-def write(text, path):
-    """Write ``text`` to the file ``path``, or to standard output if None."""
+def write(chunks, path):
+    """Write ``chunks``, a string or an iterable of strings, to the file
+    ``path`` or, if None, to standard output, one write per chunk.
+
+    The file is created by this call, so work that can fail belongs before
+    it.  ``counting.triangle_chunks`` fills every row before it returns and
+    then yields one chunk per row, so nothing is written on an error.
+    """
+    if isinstance(chunks, str):
+        chunks = (chunks,)
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(path, "w", encoding="ascii") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
 
 
 def _chain_levels(p):

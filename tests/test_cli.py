@@ -1,11 +1,14 @@
 """Command-line surface: outputs, exit codes, byte-stable golden files, and
 the DOT/JSON agreement."""
 
+import hashlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from math import comb
 from pathlib import Path
 
@@ -201,6 +204,85 @@ def test_table_json(capsys):
     code, out, _ = run(capsys, "table", "f", "--max-n", "4", "--format", "json")
     assert code == 0
     assert json.loads(out)[4] == [3, 16, 15, 6, 1]
+
+
+# sha256 of `table d|f --max-n 64` as printed before the output streamed by
+# rows; one digest per format, so it also holds d and f to the same bytes
+TABLE_64_SHA256 = {
+    "csv": "a3911fec11c9ca86ccd053c211f3326d4f8ea00a98e5b5f7cba9706d41a5cbf7",
+    "json": "d1fac459d4e77b1bb63db5a96bd12f4c28d5f6576144679dce67ed298762cbfa",
+}
+
+
+@pytest.mark.parametrize("max_n", [0, 1, 64])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("kind", ["d", "f"])
+def test_table_prints_the_bytes_of_emit_triangle(capsys, tmp_path, kind, fmt,
+                                                 max_n):
+    argv = ["table", kind, "--max-n", str(max_n), "--format", fmt]
+    want = counting.emit_triangle(kind, max_n, fmt)
+    assert run(capsys, *argv) == (0, want, "")
+    target = tmp_path / "table.out"
+    assert run(capsys, *argv, "-o", str(target)) == (0, "", "")
+    assert target.read_bytes() == want.encode("ascii")
+    if max_n == 64:
+        digest = hashlib.sha256(want.encode("ascii")).hexdigest()
+        assert digest == TABLE_64_SHA256[fmt]
+
+
+class _CountedWrites(io.StringIO):
+    calls = 0
+
+    def write(self, text):
+        self.calls += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("max_n", [0, 1, 64])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_table_writes_once_per_row(monkeypatch, fmt, max_n):
+    out = _CountedWrites()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert cli.main(["table", "d", "--max-n", str(max_n), "--format", fmt]) == 0
+    assert out.getvalue() == counting.emit_triangle("d", max_n, fmt)
+    assert out.calls <= max_n + 3
+
+
+@pytest.mark.parametrize("kind, fmt", [("d", "csv"), ("f", "json")])
+def test_table_peak_memory_is_a_fraction_of_its_output(tmp_path, kind, fmt):
+    # the tables are filled first, so the peak is what printing costs
+    counting._counter(kind)(64, 0)
+    target = tmp_path / "table.out"
+    tracemalloc.start()
+    try:
+        code = cli.main(["table", kind, "--max-n", "64", "--format", fmt,
+                         "-o", str(target)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < target.stat().st_size / 4
+
+
+def test_table_writes_nothing_when_the_fill_fails(capsys, monkeypatch,
+                                                  tmp_path):
+    # d(3,3) put at 2: filling row 4 meets a value 5 does not divide
+    monkeypatch.setattr(counting, "_d_rows", [[1], [0], [0, 1], [0, 0, 3, 2]])
+    target = tmp_path / "table.csv"
+    fault = r"d\(4,5\) recurrence value 36 is not divisible by 5"
+    with pytest.raises(RuntimeError, match=fault):
+        cli.main(["table", "d", "--max-n", "64", "-o", str(target)])
+    assert not target.exists()
+    with pytest.raises(RuntimeError, match=fault):
+        cli.main(["table", "d", "--max-n", "64"])
+    assert capsys.readouterr().out == ""
+
+
+def test_table_out_of_range_creates_no_file(capsys, tmp_path):
+    target = tmp_path / "table.csv"
+    assert run(capsys, "table", "d", "--max-n", "65", "-o", str(target)) == (
+        2, "", "error: max_n must be within 0..64\n")
+    assert not target.exists()
 
 
 # -- diff-bfile ---------------------------------------------------------------------------
