@@ -31,7 +31,6 @@ from .errors import (
     InvalidAdjunctPairError,
     MalformedPosetError,
     NotALatticeError,
-    OrientationError,
     UncoveredVertexError,
 )
 from .fbb import (
@@ -87,7 +86,6 @@ __all__ = [
     "LabeledGraph",
     "MalformedPosetError",
     "NotALatticeError",
-    "OrientationError",
     "Poset",
     "ReducibilityReport",
     "UncoveredVertexError",

@@ -31,11 +31,5 @@ class ExtractionUnsupportedError(ValueError):
     another (n, ranks) than the block claims."""
 
 
-class OrientationError(ValueError):
-    """An edge handed to ``label_edges`` is not a pair (i, j) with
-    1 <= i < j <= n.  Graphs of this package store every edge that way, so
-    only a foreign object's edges can raise it."""
-
-
 class EnumerationCapError(ValueError):
     """Requested exhaustive enumeration is above the configured cap."""

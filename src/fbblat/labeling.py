@@ -16,18 +16,14 @@ Labels are plain ints; indexing is 1-based throughout, and callers that host
 Every size and cell index of the package -- the n of a graph, a block or a
 pair chain, a count's q or l, a triangle's max_n -- is checked by
 ``_check_int`` here: an integer, at least the least value of its domain.
+Python ints are unbounded, so n has no upper limit here; the sizes that cost
+time or memory are bounded where that cost is paid.
 """
 
 from __future__ import annotations
 
 import operator
 from math import comb, isqrt
-
-from .errors import OrientationError
-
-# C(n,2) stays comfortably inside 32 bits under this limit; exact counting at
-# larger n lives in the counting module.
-MAX_N = 1 << 15
 
 
 def _check_int(name, value, least):
@@ -41,10 +37,9 @@ def _check_int(name, value, least):
 
 
 def pair_count(n):
-    """N = C(n,2), the number of vertex pairs and the top of J_N."""
+    """N = C(n,2), the number of vertex pairs and the top of J_N, for any
+    integer n >= 2."""
     _check_int("n", n, 2)
-    if n > MAX_N:
-        raise ValueError(f"n = {n} exceeds the supported limit {MAX_N}")
     return comb(n, 2)
 
 
@@ -77,11 +72,5 @@ def unrank(n, k):
 def label_edges(g):
     """Label map for a subgraph of K_n: each pair (i, j), i < j, of
     ``g.edges`` maps to rank(g.n, i, j); the map is injective with inverse
-    ``unrank``.  An edge not written that way raises OrientationError."""
-    out = {}
-    for i, j in g.edges:
-        if not (1 <= i < j <= g.n):
-            raise OrientationError(
-                f"edge ({i}, {j}) is not oriented low-to-high within 1..{g.n}")
-        out[(i, j)] = rank(g.n, i, j)
-    return out
+    ``unrank``.  ``rank`` rejects an edge not written i < j with ValueError."""
+    return {(i, j): rank(g.n, i, j) for i, j in g.edges}

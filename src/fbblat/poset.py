@@ -90,20 +90,6 @@ class Poset:
         names = tuple(names)
         return cls(names, zip(names, names[1:]))
 
-    @classmethod
-    def from_covers(cls, covers, elements=()):
-        """Poset from cover name pairs; ``elements`` adds isolated points and
-        pins element order for the names it lists."""
-        covers = [tuple(c) for c in covers]
-        names = list(elements)
-        seen = set(names)
-        for lo, hi in covers:
-            for name in (lo, hi):
-                if name not in seen:
-                    seen.add(name)
-                    names.append(name)
-        return cls(names, covers)
-
     # -- basic views --------------------------------------------------------
 
     @property
@@ -140,17 +126,6 @@ class Poset:
 
     def lt(self, a, b):
         return (self._up[self._index[a]] >> self._index[b]) & 1 == 1
-
-    def comparable(self, a, b):
-        return a == b or self.lt(a, b) or self.lt(b, a)
-
-    def upper_covers(self, name):
-        return tuple(self._names[b]
-                     for b in _kernel._bits(self._upper[self._index[name]]))
-
-    def lower_covers(self, name):
-        return tuple(self._names[a]
-                     for a in _kernel._bits(self._lower[self._index[name]]))
 
     def restrict(self, keep):
         """Subposet induced on the named subset, covers recomputed."""

@@ -3,9 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from fbblat.poset import Poset
-
 sys.path.insert(0, str(Path(__file__).parent))  # tests import `oracles`
+
+from oracles import poset_of
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -48,12 +48,12 @@ F4_1345_COVER_LIST = [
 
 @pytest.fixture
 def cf4_expected():
-    return Poset.from_covers(CF4_COVER_LIST)
+    return poset_of(CF4_COVER_LIST)
 
 
 @pytest.fixture
 def f4_1345_expected():
-    return Poset.from_covers(F4_1345_COVER_LIST)
+    return poset_of(F4_1345_COVER_LIST)
 
 
 def strict_order(p):
@@ -70,8 +70,8 @@ def grid_poset(rows, cols):
                 covers.append((f"g{r}{c}", f"g{r + 1}{c}"))
             if c + 1 < cols:
                 covers.append((f"g{r}{c}", f"g{r}{c + 1}"))
-    return Poset.from_covers(covers)
+    return poset_of(covers)
 
 
 def diamond_poset():
-    return Poset.from_covers([("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")])
+    return poset_of([("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")])

@@ -10,7 +10,9 @@ routines, kept as the reference for assembly from a graph's edges and for
 extraction read from the order: they place every element by ``rank`` and
 ``unrank``, and read blocks back by parsing names.  The counting references are the block
 recurrence as its literal triple sum and inclusion-exclusion over forced
-isolated-vertex sets, both from ``math.comb`` alone.
+isolated-vertex sets, both from ``math.comb`` alone.  The poset helpers
+build a ``Poset`` from its cover pairs alone and read comparability and
+cover sets by name, which tests need and the package does not.
 """
 
 import itertools
@@ -191,6 +193,33 @@ def dismantling_order_by_recount(names, covers):
     return tuple(order)
 
 
+def poset_of(covers, elements=()):
+    """``Poset(names, covers)`` with the names in order of first appearance:
+    first ``elements`` (which may add isolated points), then the cover
+    pairs' endpoints."""
+    covers = [tuple(c) for c in covers]
+    return Poset(dict.fromkeys([*elements, *(x for c in covers for x in c)]),
+                 covers)
+
+
+def comparable(p, a, b):
+    return a == b or p.lt(a, b) or p.lt(b, a)
+
+
+def _named_bits(p, mask):
+    return tuple(x for e, x in enumerate(p.names) if mask >> e & 1)
+
+
+def upper_covers(p, name):
+    """Names of the elements covering ``name``, in element order."""
+    return _named_bits(p, p._upper[p.index_of(name)])
+
+
+def lower_covers(p, name):
+    """Names of the elements ``name`` covers, in element order."""
+    return _named_bits(p, p._lower[p.index_of(name)])
+
+
 def reversed_order(p):
     """``p`` with its elements listed in reverse order, covers unchanged."""
     return Poset(p.names[::-1], p.covers)
@@ -324,7 +353,8 @@ def extract_by_names(f):
     for k in cs:
         i, j = unrank(n, k)
         name = f"c{k}"
-        if p.lower_covers(name) != (f"u{i}",) or p.upper_covers(name) != (f"u{j}",):
+        if (lower_covers(p, name) != (f"u{i}",)
+                or upper_covers(p, name) != (f"u{j}",)):
             raise ExtractionUnsupportedError(
                 f"{name!r} is not glued between u{i} and u{j}")
         terms.append(AdjunctTerm(f"u{i}", f"u{j}", (name,)))

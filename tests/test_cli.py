@@ -49,6 +49,7 @@ def test_rank_domain_error_exits_2(capsys):
     (["count", "d", "--n", "4", "--q", "3"], 0, "16\n", ""),
     (["table", "d", "--max-n", "65"], 2, "", "error: max_n must be within 0..64\n"),
     (["count", "d", "--n", "4", "--q", "-1"], 2, "", "error: need q >= 0, got -1\n"),
+    (["rank", "--n", "32769", "1", "32769"], 0, "32768\n", ""),
 ])
 def test_module_entrypoint(argv, code, out, err):
     src = str(Path(fbblat.__file__).resolve().parents[1])

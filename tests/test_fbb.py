@@ -44,7 +44,7 @@ def test_adjunct_rejects_covering_pair():
 
 
 def test_adjunct_rejects_incomparable_pair():
-    base = Poset.from_covers([("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")])
+    base = oracles.poset_of([("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")])
     with pytest.raises(InvalidAdjunctPairError):
         adjunct(base, Poset(["c"], []), "a", "b")
 
@@ -55,7 +55,7 @@ def test_adjunct_rejects_shared_names():
 
 
 def test_adjunct_rejects_non_lattices():
-    vee = Poset.from_covers([("a", "c"), ("b", "c")])
+    vee = oracles.poset_of([("a", "c"), ("b", "c")])
     with pytest.raises(NotALatticeError, match="the base"):
         adjunct(vee, Poset(["p"], []), "a", "c")
     with pytest.raises(NotALatticeError, match="the glued part"):
@@ -229,7 +229,7 @@ def test_chain_is_not_basic_block():
 
 
 def test_no_irreducibles_clause():
-    cube = Poset.from_covers([
+    cube = oracles.poset_of([
         ("000", "100"), ("000", "010"), ("000", "001"),
         ("100", "110"), ("100", "101"),
         ("010", "110"), ("010", "011"),
@@ -328,7 +328,7 @@ def test_fundamental_predicate_on_known_blocks():
 
 def test_fundamental_predicate_rejects_non_lattice():
     # canonical names, but no top element: fails the lattice gate
-    p = Poset.from_covers([("u1", "c1"), ("u1", "x1")])
+    p = oracles.poset_of([("u1", "c1"), ("u1", "x1")])
     assert not is_fundamental_basic_block(oracles.fbb_of(2, {1}, p))
 
 
@@ -508,17 +508,17 @@ def _foreign_blocks(cf4):
     spliced = Poset(list(cf4.names) + ["t"], list(cf4.covers) + [("u4", "t")])
     f = build_fbb(4, {1, 3, 4, 5}).poset
     yield oracles.fbb_of(2, {1}, Poset.chain("abc"))
-    yield oracles.fbb_of(2, {1}, Poset.from_covers([("u1", "c1"), ("u1", "x1")]))
+    yield oracles.fbb_of(2, {1}, oracles.poset_of([("u1", "c1"), ("u1", "x1")]))
     yield oracles.fbb_of(4, range(1, 7), spliced)
     yield oracles.fbb_of(4, {1, 3, 4}, f)                       # c5 not in Q
     yield oracles.fbb_of(4, {1, 3, 4, 5, 6}, f)                 # c6 missing
     yield oracles.fbb_of(4, {1, 3, 4, 5}, remove_element(f, "x1"))
-    yield oracles.fbb_of(4, {1, 3, 4, 5}, Poset.from_covers(   # c3 glued low
+    yield oracles.fbb_of(4, {1, 3, 4, 5}, oracles.poset_of(   # c3 glued low
         [c for c in f.covers if c != ("c3", "u4")] + [("c3", "u3")]))
     yield oracles.fbb_of(4, {1, 3, 4, 5},
-              Poset.from_covers(f.covers, ["u1", "x1", "x9"]))  # stray name
+              oracles.poset_of(f.covers, ["u1", "x1", "x9"]))  # stray name
     yield oracles.fbb_of(4, {1, 3, 4, 5}, f)                    # the block
-    yield oracles.fbb_of(3, {2, 3}, Poset.from_covers(          # x1, no c1
+    yield oracles.fbb_of(3, {2, 3}, oracles.poset_of(          # x1, no c1
         [("u1", "x1"), ("x1", "u2"), ("u2", "x2"), ("x2", "u3"),
          ("u1", "c2"), ("c2", "u3"), ("u2", "c3"), ("c3", "u3")]))
 

@@ -49,8 +49,10 @@ def _assert_matches_oracles(label, names, covers):
     p = Poset(names, covers)
     assert p._index_covers() == tuple(sorted(set(pairs))), where
     for i, x in enumerate(names):  # cover sets, in element index order
-        assert p.upper_covers(x) == tuple(names[b] for a, b in pairs if a == i), where
-        assert p.lower_covers(x) == tuple(names[a] for a, b in pairs if b == i), where
+        assert oracles.upper_covers(p, x) == tuple(
+            names[b] for a, b in pairs if a == i), where
+        assert oracles.lower_covers(p, x) == tuple(
+            names[a] for a, b in pairs if b == i), where
     assert (p._up, p._down) == (tuple(up), tuple(down)), where
     strict = oracles.order_pairs(names, covers)
     for i, x in enumerate(names):  # the closure against the oracle's order
