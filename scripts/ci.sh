@@ -12,8 +12,8 @@ cd "$(dirname "$0")/.."
 export PYTHONPATH=src
 fbblat() { python -m fbblat "$@"; }
 
-echo "== tier-1 tests"
-python -m pytest -q --continue-on-collection-errors
+echo "== tier-1 tests (under -X dev: warnings on, files never closed reported)"
+python -X dev -m pytest -q --continue-on-collection-errors
 
 echo "== benchmark smoke (every op checked exactly, exit 1 on a wrong output)"
 for w in roundtrip wide triangle enumerate; do

@@ -4,8 +4,6 @@ Elements are indices 0..n-1 and element subsets are Python ints used as
 bitmasks, so the same code handles posets of any size.
 """
 
-from __future__ import annotations
-
 
 def compiled_available():
     """Whether a compiled kernel is available; the kernels are pure Python."""

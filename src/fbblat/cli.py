@@ -7,8 +7,6 @@ inside a verify check: the check fails with the fault's message and is
 named on stderr.  Exit 2 is for a bad argument or file only.
 """
 
-from __future__ import annotations
-
 import argparse
 import sys
 from math import comb
@@ -156,6 +154,7 @@ def run_verification(max_n, enum_cap=6):
     ValueError (a value the package rejects) raised inside a check fails
     that check, with the exception's message as its detail."""
     labeling._check_int("max_n", max_n, 2)
+    labeling._check_int("enum_cap", enum_cap, 2)
     checks = []
 
     def run(name, check, *args):

@@ -11,9 +11,7 @@ set, which ``phi_inverse`` assembles and keeps as the block's own mask.
 cross-counts it against both recurrences.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import counting, fbb, graphs
 from .errors import UncoveredVertexError
@@ -42,17 +40,13 @@ def phi_inverse(g):
     return Fbb(g.n, g.mask, fbb._assemble(g.n, g.ranks, g.edges))
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(namedtuple(
+        "EquivalenceReport",
+        "n l enumerated recurrence_d recurrence_f failures")):
     """Outcome of one (n, l) verification cell; ``failures`` holds human
     readable descriptions of every violated assertion (never silent)."""
 
-    n: int
-    l: int
-    enumerated: int
-    recurrence_d: int
-    recurrence_f: int
-    failures: tuple
+    __slots__ = ()
 
     @property
     def ok(self):

@@ -41,18 +41,20 @@ raises instead of pairing a row of f with the wrong P.
 
 The triangle that ``emit_triangle``, ``CountTable`` and ``diff_bfile``
 show is read row by row from these tables: one walk fills row n with one
-counter call and slices out its band q = ceil(n/2)..C(n,2).  Emission
-(``triangle_chunks``) runs that walk to the end before it yields anything,
-then yields one chunk of text per row, so ``fbblat table`` writes the
-triangle a row at a time and writes nothing when an argument or a fill
-fails.
+counter call and hands on the filled table row itself with the start of its
+band, q0 = ceil(n/2); the readers index q = q0..C(n,2) from it, so no band
+is copied for the length of an emission.  Emission (``triangle_chunks``)
+runs that walk to the end before it yields anything, then yields one chunk
+of text per row, so ``fbblat table`` writes the triangle a row at a time
+and writes nothing when an argument or a fill fails.  A CSV row is one
+``%`` over a template of one ``n,%d,%d`` line per cell, applied to the
+row's flattened (q, value) pairs, not one format call per cell.
 """
-
-from __future__ import annotations
 
 import json
 import threading
-from dataclasses import dataclass
+from collections import namedtuple
+from itertools import chain, islice
 from math import comb
 
 from .labeling import _check_int
@@ -79,11 +81,11 @@ def _fill_d(n):
                     acc += m * (m - 1) * prev1[q - 1]
                 if q - 1 < len(prev2):
                     acc += big_n * prev2[q - 1]
-                if acc % q:
+                row[q], rem = divmod(acc, q)
+                if rem:
                     raise RuntimeError(
                         f"internal error: d({m},{q}) recurrence value {acc} is "
                         f"not divisible by {q}")
-                row[q] = acc // q
             _d_rows.append(row)
 
 
@@ -156,10 +158,11 @@ def _counter(kind):
 
 
 def _band_rows(kind, max_n):
-    """Rows n = 0..max_n of the triangle as ``(n, q0, counts)``, the counts
-    for q = q0..C(n,2), q0 = ceil(n/2), sliced from the filled table row.
-    Checks kind and max_n first, then fills one row per step, looking the
-    table up after each fill so that a rebound table is the one read."""
+    """Rows n = 0..max_n of the triangle as ``(n, q0, row)``: ``row`` is the
+    filled table row itself, not a copy, and its band is q = q0..C(n,2),
+    q0 = ceil(n/2).  Checks kind and max_n first, then fills one row per
+    step, looking the table up after each fill so that a rebound table is
+    the one read."""
     count = _counter(kind)
     _check_int("max_n", max_n, 0)
     if max_n > TRIANGLE_MAX_N:
@@ -168,41 +171,39 @@ def _band_rows(kind, max_n):
     def walk():
         for n in range(max_n + 1):
             count(n, 0)
-            q0 = (n + 1) // 2
-            yield n, q0, (_d_rows if kind == "d" else _f_rows)[n][q0:]
+            yield n, (n + 1) // 2, (_d_rows if kind == "d" else _f_rows)[n]
 
     return walk()
 
 
-@dataclass(frozen=True)
-class CountTable:
+class CountTable(namedtuple("CountTable", "kind max_n cells")):
     """In-band cells of one triangle, (n, q) -> exact count."""
 
-    kind: str
-    max_n: int
-    cells: dict
+    __slots__ = ()
 
     @classmethod
     def build(cls, kind, max_n):
-        cells = {(n, q): v
+        cells = {(n, q): row[q]
                  for n, q0, row in _band_rows(kind, max_n)
-                 for q, v in enumerate(row, q0)}
+                 for q in range(q0, len(row))}
         return cls(kind, max_n, cells)
 
     def rows(self):
-        return [row for _, _, row in _band_rows(self.kind, self.max_n)]
+        """The band of each row n = 0..max_n, as a list of counts."""
+        return [row[q0:] for _, q0, row in _band_rows(self.kind, self.max_n)]
 
 
 def _csv_chunks(rows):
     yield "n,q,value\n"
     for n, q0, row in rows:
-        yield "".join([f"{n},{q},{v}\n" for q, v in enumerate(row, q0)])
+        yield (f"{n},%d,%d\n" * (len(row) - q0)) % tuple(
+            chain.from_iterable(enumerate(islice(row, q0, None), q0)))
 
 
 def _json_chunks(rows):
     sep = "["
-    for _, _, row in rows:
-        yield sep + json.dumps(row)
+    for _, q0, row in rows:
+        yield sep + json.dumps(row[q0:])
         sep = ", "
     yield "]\n"
 
@@ -239,23 +240,14 @@ def emit_triangle(kind, max_n, fmt="csv"):
 # -- b-file comparison ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BFileMismatch:
-    n: int
-    q: int
-    triangle_value: int
-    file_value: int
-    index: int
-    line_no: int
+class BFileMismatch(namedtuple(
+        "BFileMismatch", "n q triangle_value file_value index line_no")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BFileDiff:
-    path: str
-    kind: str
-    compared: int
-    mismatches: tuple
-    warnings: tuple
+class BFileDiff(namedtuple(
+        "BFileDiff", "path kind compared mismatches warnings")):
+    __slots__ = ()
 
     @property
     def ok(self):
@@ -268,8 +260,8 @@ def diff_bfile(path, kind):
     mismatch list means agreement.
     Values are matched by position; the first index that does not follow
     the one before it is reported as a warning."""
-    cells = ((n, q, v) for n, q0, row in _band_rows(kind, TRIANGLE_MAX_N)
-             for q, v in enumerate(row, q0))
+    cells = ((n, q, row[q]) for n, q0, row in _band_rows(kind, TRIANGLE_MAX_N)
+             for q in range(q0, len(row)))
     entries = []
     with open(path, encoding="ascii") as handle:
         for line_no, line in enumerate(handle, start=1):

@@ -20,9 +20,7 @@ extraction, the DOT levels in ``render`` and the fundamental-block predicate
 whatever the names.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb
 
 from . import _kernel
@@ -40,21 +38,17 @@ from .labeling import _check_int, rank, unrank  # noqa: F401
 from .poset import Poset, _order_scan, is_lattice
 
 
-@dataclass(frozen=True)
-class AdjunctTerm:
+class AdjunctTerm(namedtuple("AdjunctTerm", "lower upper chain")):
     """One glued chain with its adjunct pair (lower, upper)."""
 
-    lower: str
-    upper: str
-    chain: tuple
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class AdjunctRepresentation:
+class AdjunctRepresentation(namedtuple("AdjunctRepresentation",
+                                       "base_chain terms")):
     """A base maximal chain plus an ordered list of adjunct terms."""
 
-    base_chain: tuple
-    terms: tuple
+    __slots__ = ()
 
     def assemble(self):
         """Fold the adjunct operation over the terms; round-trips with
@@ -65,14 +59,11 @@ class AdjunctRepresentation:
         return poset
 
 
-@dataclass(frozen=True)
-class Fbb:
+class Fbb(namedtuple("Fbb", "n mask poset")):
     """A fundamental basic block, identified by n and the edge mask of its
     rank set Q: bit k-1 is set iff label k is in Q."""
 
-    n: int
-    mask: int
-    poset: Poset
+    __slots__ = ()
 
     @property
     def ranks(self):

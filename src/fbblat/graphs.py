@@ -8,8 +8,6 @@ low-to-high orientation: ``arcs`` is ``edges``, and ``orient`` is the
 identity.
 """
 
-from __future__ import annotations
-
 import warnings
 from bisect import bisect_right
 from collections.abc import Sequence

@@ -20,8 +20,6 @@ Python ints are unbounded, so n has no upper limit here; the sizes that cost
 time or memory are bounded where that cost is paid.
 """
 
-from __future__ import annotations
-
 import operator
 from math import comb, isqrt
 

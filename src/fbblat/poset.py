@@ -17,17 +17,16 @@ All values are immutable after construction and every operation is a pure
 function, so instances can be shared freely across threads.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import compress
 
 from . import _kernel
 from .errors import MalformedPosetError, NotALatticeError
 
 
-@dataclass(frozen=True)
-class ReducibilityReport:
+class ReducibilityReport(namedtuple(
+        "ReducibilityReport",
+        "reducible join_irreducible meet_irreducible doubly_irreducible")):
     """Element classification of one poset.
 
     ``reducible`` is the union of the join-reducible and meet-reducible
@@ -38,10 +37,7 @@ class ReducibilityReport:
     read.
     """
 
-    reducible: frozenset
-    join_irreducible: frozenset
-    meet_irreducible: frozenset
-    doubly_irreducible: frozenset
+    __slots__ = ()
 
 
 class Poset:

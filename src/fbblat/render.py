@@ -14,8 +14,6 @@ JSON schemas:
     report  {"checks": [{"name": str, "status": "pass"|"fail", "detail": str}]}
 """
 
-from __future__ import annotations
-
 import json
 import sys
 
