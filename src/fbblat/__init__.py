@@ -60,6 +60,7 @@ from .poset import (
     ReducibilityReport,
     classify,
     dismantling_order,
+    from_name_pairs,
     is_dismantlable,
     is_lattice,
     is_rc_lattice,
@@ -104,6 +105,7 @@ __all__ = [
     "emit_triangle",
     "enumerate_d",
     "extract_adjunct_representation",
+    "from_name_pairs",
     "has_isolated_vertex",
     "is_basic_block_universal",
     "is_dismantlable",

@@ -12,12 +12,16 @@ Because of that, Q doubles as the identity of the block: two blocks are equal
 as canonical posets iff their rank sets agree.  Q is exactly the edge set of
 the block's labeled graph, so ``Fbb`` carries it as that graph's edge mask
 (bit k-1 for label k), the one form Q takes from enumeration through phi,
-phi_inverse and the predicates.  Blocks are built from Q as name-pair
+phi_inverse and the predicates.  Blocks are built from Q as index-pair
 covers under the names u<i>/x<i>/c<k>, written for rendering and never
 parsed back: ``_reading`` reads (n, Q) off the poset's order alone, and phi,
 extraction, the DOT levels in ``render`` and the fundamental-block predicate
 (the reading plus the basic-block test) decide from that one cached reading,
-whatever the names.
+whatever the names.  A poset reads as a block only if its elements with
+two or more lower or upper covers form a chain and every other element
+hangs between two of them, and such a poset is a lattice; so a block is
+read, and its lattice scan proved, from its cover counts alone, without
+the lattice kernel.
 """
 
 from collections import namedtuple
@@ -35,7 +39,7 @@ from .graphs import LabeledGraph, _mask_ranks, isolated_vertices
 # ``rank`` is unused here but stays importable as ``fbb.rank``, a binding
 # the benchmark's tracer tests rebind and check.
 from .labeling import _check_int, rank, unrank  # noqa: F401
-from .poset import Poset, _order_scan, is_lattice
+from .poset import Poset, _cover_reducibles, _order_scan, is_lattice
 
 
 class AdjunctTerm(namedtuple("AdjunctTerm", "lower upper chain")):
@@ -91,11 +95,12 @@ def adjunct(l1, l2, a, b):
     if l1._upper[l1.index_of(a)] >> l1.index_of(b) & 1:
         raise InvalidAdjunctPairError(
             f"({a!r}, {b!r}) is a covering pair; nothing fits strictly between")
-    bottom = l2.name_of(l2._down.index(0))
-    top = l2.name_of(l2._up.index(0))
-    names = l1.names + l2.names
-    covers = list(l1.covers) + list(l2.covers) + [(a, bottom), (top, b)]
-    return Poset(names, covers)
+    shift = len(l1)
+    covers = [*l1._index_covers(),
+              *((lo + shift, hi + shift) for lo, hi in l2._index_covers()),
+              (l1.index_of(a), shift + l2._down.index(0)),
+              (shift + l2._up.index(0), l1.index_of(b))]
+    return Poset(l1.names + l2.names, covers)
 
 
 def _assemble(n, ordered, pairs):
@@ -104,7 +109,7 @@ def _assemble(n, ordered, pairs):
 
     Elements come in name order: the base chain u1 [x1] u2 ... un, then the
     c_k by ascending k.  The covers are the base chain's consecutive pairs,
-    then u_i < c_k < u_j per label, as name pairs."""
+    then u_i < c_k < u_j per label, as index pairs."""
     consecutive = {i for i, j in pairs if j == i + 1}
     names = []
     u = [0] * (n + 1)  # u[i]: index of u_i
@@ -113,12 +118,12 @@ def _assemble(n, ordered, pairs):
         names.append(f"u{i}")
         if i in consecutive:
             names.append(f"x{i}")
-    covers = list(zip(names, names[1:]))
+    covers = [(e, e + 1) for e in range(len(names) - 1)]
     for k, (i, j) in zip(ordered, pairs):
-        c = f"c{k}"
-        names.append(c)
-        covers.append((names[u[i]], c))
-        covers.append((c, names[u[j]]))
+        c = len(names)
+        names.append(f"c{k}")
+        covers.append((u[i], c))
+        covers.append((c, u[j]))
     return Poset(names, covers)
 
 
@@ -205,14 +210,57 @@ def _reading(p):
     reducible.  The pair (i, j), j > i + 1, is realized iff one element sits
     between u_i and u_j; between u_i and u_{i+1} one element is the chain
     element x_i, and two are x_i (the lower index) and c_k.  More is a
-    repeated adjunct pair.  Labels k count the pairs in dictionary order."""
+    repeated adjunct pair.  Labels k count the pairs in dictionary order.
+
+    Without a cached scan, the poset is first read from its cover counts
+    alone: R is the set of elements with two or more lower or upper covers,
+    and the rest are taken as the doubly irreducibles.  A successful read
+    proves that the poset is a lattice whose reducibles are R, so the scan
+    ``(True, jr, mr, doubly)`` is cached with it and no predicate on the
+    block runs the lattice kernel.  Proof: the read checks that R is a chain
+    u_1 < ... < u_n and that every other element d has exactly one lower
+    cover l(d) and one upper cover h(d), both in R.  So every minimal
+    element lies in R, and since R is a chain there is exactly one, u_1,
+    which is then the least element.  Below d lie exactly l(d) and what lies
+    below it, and above d exactly h(d) and what lies above it.  Let x and y
+    be incomparable, and let w in R be the larger of the least elements of R
+    above x and above y (the element itself if it is in R, else h of it).
+    Then w is an upper bound of both.  An upper bound in R lies at or above
+    w; an upper bound d outside R lies above x and y, so l(d) is an upper
+    bound in R, and d > l(d) >= w.  So w is the join of x and y, and meets
+    are dual: the poset is a lattice.  In a lattice an element is
+    join-reducible iff it has two or more lower covers (two lower covers
+    join to it, and the elements below one with at most one lower cover c
+    all lie at or below c), and dually for meets, so jr and mr are the
+    cover-count masks and R is the set of reducibles.  If the cover-count
+    read fails, the poset is read again from ``_order_scan``, which decides
+    lattice-ness, so a poset that is no block raises the message it always
+    did.
+    """
     reading = p._cache.get("reading")
     if reading is not None:
         return reading
-    lattice, jr, mr, doubly = _order_scan(p)
-    if not lattice:
-        raise ExtractionUnsupportedError("the poset is not a lattice")
-    red = jr | mr
+    if "scan" not in p._cache:
+        jr, mr = _cover_reducibles(p)
+        doubly = ((1 << len(p)) - 1) & ~(jr | mr)
+        try:
+            reading = _read_block(p, jr | mr, doubly)
+        except ExtractionUnsupportedError:
+            pass
+        else:
+            p._cache["scan"] = (True, jr, mr, doubly)
+    if reading is None:
+        lattice, jr, mr, doubly = _order_scan(p)
+        if not lattice:
+            raise ExtractionUnsupportedError("the poset is not a lattice")
+        reading = _read_block(p, jr | mr, doubly)
+    p._cache["reading"] = reading
+    return reading
+
+
+def _read_block(p, red, doubly):
+    """The reading of ``_reading``, given the masks of the reducibles
+    ``red`` and the doubly irreducibles ``doubly``, not cached."""
     n = red.bit_count()
     us = [0] * n  # us[i - 1]: index of u_i, placed by its reducibles below
     for u in _kernel._bits(red):
@@ -245,5 +293,4 @@ def _reading(p):
         raise ExtractionUnsupportedError(
             f"element {p.name_of((doubly & ~seen).bit_length() - 1)!r} does "
             "not sit between two reducibles")
-    reading = p._cache["reading"] = (n, mask, tuple(chain), tuple(terms))
-    return reading
+    return n, mask, tuple(chain), tuple(terms)

@@ -211,8 +211,8 @@ def enumerate_d(n, q, cap=DEFAULT_ENUM_CAP):
     lexicographic order of their edge-label sets, as a read-only
     ``GraphSequence`` over the kernel's meet-in-the-middle parts, which
     builds each graph from its mask on access.  The edge masks are never
-    listed: the largest n = 7 cell, (7, 10), holds 331,716 graphs in 1,984
-    parts that share 137 lists of 19,743 high masks in all.
+    listed: the largest n = 7 cell, (7, 11), holds 343,161 graphs in 1,985
+    parts that share 138 lists of 17,374 high masks in all.
 
     Refuses n above ``cap`` (default 7, where the 22 cells hold 1,887,284
     graphs); pass a larger cap explicitly to override.  Exact counts at any size come from the

@@ -1,17 +1,23 @@
 """Finite posets presented by their cover relation.
 
-The per-element lower and upper cover masks are the stored truth;
-comparability, lattice-ness, nullity, reducibility and dismantlability are
-all derived from them on demand.  The constructor rejects transitively
-implied covers, so the masks hold exactly the cover relation, once, built
-once, and the kernels read them.  Cover pairs, for equality, hashing and
-rendering, are read off the upper masks in element order, which is sorted
-index order.  Lattice-ness and reducibility come from one kernel scan per
-poset, cached as element masks; the predicates decide on those masks, and
-only ``classify`` turns them into element names.  Elements carry canonical
-string names ("u3", "x2", "c5", ...) and two posets compare equal when they
-have the same names and the same cover relation on names -- the structural
-stand-in for isomorphism of canonically named objects.
+``Poset(names, covers)`` takes the element names in element order and the
+covers as (lower, upper) pairs of element indices; ``from_name_pairs``
+takes the covers as name pairs instead.  Names are labels: the package
+works on indices, and the name-to-index dict is built only on the first
+lookup by name.  The per-element lower and upper cover masks are the stored
+truth; comparability, lattice-ness, nullity, reducibility and
+dismantlability are all derived from them on demand.  The constructor
+rejects transitively implied covers, so the masks hold exactly the cover
+relation, once, built once, and the kernels read them.  Cover pairs, for
+equality, hashing and rendering, are read off the upper masks in element
+order, which is sorted index order.  Lattice-ness and reducibility come
+from one scan per poset, cached as element masks: the kernel's, or, for a
+block read before any scan, the one its reading proves (``fbb._reading``).
+The predicates decide on those masks, and only ``classify`` turns them into
+element names.  Elements carry canonical string names ("u3", "x2", "c5",
+...) and two posets compare equal when they have the same names and the
+same cover relation on names -- the structural stand-in for isomorphism of
+canonically named objects.
 
 All values are immutable after construction and every operation is a pure
 function, so instances can be shared freely across threads.
@@ -46,24 +52,26 @@ class Poset:
 
     def __init__(self, names, covers):
         names = tuple(names)
-        if not names:
-            raise MalformedPosetError("a poset needs at least one element")
-        index = {name: pos for pos, name in enumerate(names)}
-        if len(index) != len(names):
-            dup = next(name for pos, name in enumerate(names) if index[name] != pos)
-            raise MalformedPosetError(f"duplicate element name {dup!r}")
-        try:
-            pairs = [(index[lo], index[hi]) for lo, hi in covers]
-        except KeyError as exc:
-            raise MalformedPosetError(
-                f"cover endpoint {exc.args[0]!r} is not an element") from None
         size = len(names)
+        if not size:
+            raise MalformedPosetError("a poset needs at least one element")
+        if len(set(names)) != size:
+            raise MalformedPosetError(
+                f"duplicate element name {_first_repeat(names)!r}")
+        pairs = list(covers)
         for a, b in pairs:
-            if a == b:
-                raise MalformedPosetError(f"self-cover on {names[a]!r}")
+            if (type(a) is not int or type(b) is not int
+                    or not (0 <= a < size and 0 <= b < size)):
+                bad = b if type(a) is int and 0 <= a < size else a
+                raise MalformedPosetError(
+                    f"cover endpoint {bad!r} is not an element index in "
+                    f"0..{size - 1}")
         try:
             up, down = _kernel.closure(size, pairs)
-        except ValueError as exc:
+        except ValueError as exc:  # a cycle; name a self-cover if there is one
+            loop = next((a for a, b in pairs if a == b), None)
+            if loop is not None:
+                raise MalformedPosetError(f"self-cover on {names[loop]!r}") from None
             raise MalformedPosetError(str(exc)) from None
         lower = [0] * size
         upper = [0] * size
@@ -74,7 +82,7 @@ class Poset:
             upper[a] |= 1 << b
             lower[b] |= 1 << a
         self._names = names
-        self._index = index
+        self._index = None
         self._up = tuple(up)
         self._down = tuple(down)
         self._lower = tuple(lower)
@@ -84,7 +92,7 @@ class Poset:
     @classmethod
     def chain(cls, names):
         names = tuple(names)
-        return cls(names, zip(names, names[1:]))
+        return cls(names, [(i, i + 1) for i in range(len(names) - 1)])
 
     # -- basic views --------------------------------------------------------
 
@@ -106,14 +114,21 @@ class Poset:
     def __len__(self):
         return len(self._names)
 
+    def _name_index(self):
+        """name -> element index, built on the first lookup by name."""
+        index = self._index
+        if index is None:
+            index = self._index = {name: pos for pos, name in enumerate(self._names)}
+        return index
+
     def __contains__(self, name):
-        return name in self._index
+        return name in self._name_index()
 
     def __iter__(self):
         return iter(self._names)
 
     def index_of(self, name):
-        return self._index[name]
+        return self._name_index()[name]
 
     def name_of(self, idx):
         return self._names[idx]
@@ -121,20 +136,22 @@ class Poset:
     # -- order queries -------------------------------------------------------
 
     def lt(self, a, b):
-        return (self._up[self._index[a]] >> self._index[b]) & 1 == 1
+        index = self._name_index()
+        return (self._up[index[a]] >> index[b]) & 1 == 1
 
     def restrict(self, keep):
         """Subposet induced on the named subset, covers recomputed."""
         keep = set(keep)
-        unknown = keep - set(self._names)
+        index = self._name_index()
+        unknown = keep - index.keys()
         if unknown:
             raise KeyError(sorted(unknown)[0])
-        mask = 0
-        for name in keep:
-            mask |= 1 << self._index[name]
+        kept = sorted(index[name] for name in keep)
+        mask = sum(1 << i for i in kept)
+        renumber = {old: new for new, old in enumerate(kept)}
         induced = _kernel.covers_within(len(self), self._up, self._down, mask)
-        names = tuple(n for n in self._names if n in keep)
-        return Poset(names, ((self._names[a], self._names[b]) for a, b in induced))
+        return Poset(tuple(self._names[i] for i in kept),
+                     [(renumber[a], renumber[b]) for a, b in induced])
 
     # -- identity ------------------------------------------------------------
 
@@ -157,12 +174,48 @@ class Poset:
 # -- module operations --------------------------------------------------------
 
 
+def _first_repeat(names):
+    seen = set()
+    for name in names:
+        if name in seen:
+            return name
+        seen.add(name)
+
+
+def from_name_pairs(names, pairs):
+    """``Poset(names, covers)`` with each cover given as a (lower, upper)
+    pair of element names."""
+    names = tuple(names)
+    index = {name: pos for pos, name in enumerate(names)}
+    try:
+        covers = [(index[lo], index[hi]) for lo, hi in pairs]
+    except KeyError as exc:
+        raise MalformedPosetError(
+            f"cover endpoint {exc.args[0]!r} is not an element") from None
+    return Poset(names, covers)  # which rejects repeated names
+
+
 def nullity(p):
     """Cycle rank |E| - |V| + c of the cover graph."""
     if "nullity" not in p._cache:
         edges, comps = _kernel.induced_nullity_parts(len(p), p._lower, p._upper)
         p._cache["nullity"] = edges - len(p) + comps
     return p._cache["nullity"]
+
+
+def _cover_reducibles(p):
+    """(join_reducible, meet_reducible) masks by the cover-count criterion:
+    the elements with two or more lower covers, and with two or more upper
+    covers.  On a lattice these are the reducibles by definition."""
+    jr = mr = 0
+    bit = 1
+    for below, above in zip(p._lower, p._upper):
+        if below & (below - 1):
+            jr |= bit
+        if above & (above - 1):
+            mr |= bit
+        bit <<= 1
+    return jr, mr
 
 
 def _order_scan(p):
@@ -174,23 +227,21 @@ def _order_scan(p):
     against the cover-count criterion (>= 2 lower covers iff join-reducible,
     dually for meets) before anything reads it, and a mismatch raises, since
     it would falsify the equivalence the rest of the package relies on.
+
+    A block read through ``fbb._reading`` before any scan gets its scan from
+    that reading's proof, not from this cross-check, so the kernel never
+    runs on it.
     """
     scan = p._cache.get("scan")
     if scan is None:
-        n = len(p)
-        lower, upper = p._lower, p._upper
-        lattice, jr, mr = _kernel.reducibility(n, p._up, p._down, lower, upper)
-        jr_covers = mr_covers = 0
-        for i in range(n):
-            if lower[i].bit_count() > 1:
-                jr_covers |= 1 << i
-            if upper[i].bit_count() > 1:
-                mr_covers |= 1 << i
+        lattice, jr, mr = _kernel.reducibility(len(p), p._up, p._down,
+                                               p._lower, p._upper)
+        jr_covers, mr_covers = _cover_reducibles(p)
         if lattice and (jr_covers != jr or mr_covers != mr):
             raise RuntimeError(
                 "internal error: definitional and cover-count reducibility "
                 f"disagree on {p!r}")
-        doubly = ((1 << n) - 1) & ~(jr_covers | mr_covers)
+        doubly = ((1 << len(p)) - 1) & ~(jr_covers | mr_covers)
         scan = p._cache["scan"] = (lattice, jr, mr, doubly)
     return scan
 

@@ -8,7 +8,10 @@ the reference for the kernel that reads only each element's covers.
 The name-based block assembly and extraction are the package's earlier
 routines, kept as the reference for assembly from a graph's edges and for
 extraction read from the order: they place every element by ``rank`` and
-``unrank``, and read blocks back by parsing names.  The counting references are the block
+``unrank``, and read blocks back by parsing names.  The block reading that
+decides lattice-ness first, by the kernel's scan and its cover-count
+cross-check, is the package's earlier route, kept as the reference for the
+reading from cover counts alone.  The counting references are the block
 recurrence as its literal triple sum and inclusion-exclusion over forced
 isolated-vertex sets, both from ``math.comb`` alone.  The poset helpers
 build a ``Poset`` from its cover pairs alone and read comparability and
@@ -21,11 +24,12 @@ from math import comb
 
 import networkx as nx
 
+from fbblat import fbb
 from fbblat.errors import ExtractionUnsupportedError
 from fbblat.fbb import AdjunctRepresentation, AdjunctTerm, Fbb
 from fbblat.graphs import LabeledGraph
 from fbblat.labeling import rank, unrank
-from fbblat.poset import Poset
+from fbblat.poset import Poset, _order_scan, from_name_pairs
 
 
 def order_pairs(names, covers):
@@ -194,12 +198,12 @@ def dismantling_order_by_recount(names, covers):
 
 
 def poset_of(covers, elements=()):
-    """``Poset(names, covers)`` with the names in order of first appearance:
+    """``from_name_pairs(names, covers)`` with the names in order of first appearance:
     first ``elements`` (which may add isolated points), then the cover
     pairs' endpoints."""
     covers = [tuple(c) for c in covers]
-    return Poset(dict.fromkeys([*elements, *(x for c in covers for x in c)]),
-                 covers)
+    return from_name_pairs(
+        dict.fromkeys([*elements, *(x for c in covers for x in c)]), covers)
 
 
 def comparable(p, a, b):
@@ -222,12 +226,12 @@ def lower_covers(p, name):
 
 def reversed_order(p):
     """``p`` with its elements listed in reverse order, covers unchanged."""
-    return Poset(p.names[::-1], p.covers)
+    return from_name_pairs(p.names[::-1], p.covers)
 
 
 def dual(p):
     """The order dual of ``p``: every cover flipped, element order kept."""
-    return Poset(p.names, [(b, a) for a, b in p.covers])
+    return from_name_pairs(p.names, [(b, a) for a, b in p.covers])
 
 
 def mirrored(g):
@@ -313,6 +317,19 @@ def assemble_by_names(n, rankset):
         covers.append((f"u{i}", f"c{k}"))
         covers.append((f"c{k}", f"u{j}"))
     return names, covers
+
+
+def reading_by_order_scan(p):
+    """(scan, reading) of ``p`` by the route that decides lattice-ness
+    first: ``_order_scan`` on a fresh copy of ``p`` (the kernel's scan,
+    cross-checked against the cover counts), then the reading of
+    ``fbb._read_block`` on its masks.  Raises ExtractionUnsupportedError,
+    with the reading's message, if ``p`` is no block."""
+    q = Poset(p.names, p._index_covers())
+    lattice, jr, mr, doubly = scan = _order_scan(q)
+    if not lattice:
+        raise ExtractionUnsupportedError("the poset is not a lattice")
+    return scan, fbb._read_block(q, jr | mr, doubly)
 
 
 def extract_by_names(f):

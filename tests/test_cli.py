@@ -17,7 +17,7 @@ import pytest
 import fbblat
 from fbblat import _kernel, cli, counting, fbb, render
 from fbblat.fbb import build_fbb
-from fbblat.poset import Poset
+from fbblat.poset import Poset, from_name_pairs
 
 from conftest import GOLDEN_CASES, GOLDEN_DIR
 
@@ -161,8 +161,8 @@ _DOT_NODE = re.compile(r'^  "(\w+)" \[label="\w+"(?: rank="(\d+)")?\];$', re.M)
 
 def test_dot_levels_come_from_the_order_not_the_names():
     p = build_fbb(4, {1, 3, 4, 5}).poset
-    renamed = Poset(["b" + name for name in p.names],
-                    [("b" + lo, "b" + hi) for lo, hi in p.covers])
+    renamed = from_name_pairs(["b" + name for name in p.names],
+                              [("b" + lo, "b" + hi) for lo, hi in p.covers])
     golden = dict(_DOT_NODE.findall((GOLDEN_DIR / "fbb_n4_r1345.dot").read_text()))
     assert len(golden) == len(p) and all(golden.values())
     assert (dict(_DOT_NODE.findall(render.poset_to_dot(renamed)))

@@ -19,11 +19,12 @@ from fbblat.fbb import (AdjunctTerm, Fbb,
                         is_basic_block_universal, is_fundamental_basic_block)
 from fbblat.graphs import LabeledGraph, enumerate_d
 from fbblat.labeling import rank, unrank
-from fbblat.poset import (Poset, classify, dismantling_order, is_dismantlable,
-                          is_lattice, is_rc_lattice, nullity, remove_element)
+from fbblat.poset import (Poset, classify, dismantling_order, from_name_pairs,
+                          is_dismantlable, is_lattice, is_rc_lattice, nullity,
+                          remove_element)
 
 import oracles
-from conftest import grid_poset, strict_order
+from conftest import diamond_poset, grid_poset, strict_order
 
 
 # -- adjunct operation -----------------------------------------------------------
@@ -249,7 +250,7 @@ def test_spliced_chain_element_breaks_basic_block(cf4_expected):
     # the nullity
     names = list(cf4_expected.names) + ["t"]
     covers = list(cf4_expected.covers) + [("u4", "t")]
-    spliced = Poset(names, covers)
+    spliced = from_name_pairs(names, covers)
     assert not is_basic_block_universal(spliced)
     assert nullity(remove_element(spliced, "t")) == nullity(spliced)
 
@@ -335,13 +336,13 @@ def test_fundamental_predicate_rejects_non_lattice():
 def test_fundamental_predicate_rejects_broken_basic_block(cf4_expected):
     names = list(cf4_expected.names) + ["t"]
     covers = list(cf4_expected.covers) + [("u4", "t")]
-    spliced = oracles.fbb_of(4, range(1, 7), Poset(names, covers))
+    spliced = oracles.fbb_of(4, range(1, 7), from_name_pairs(names, covers))
     assert not is_fundamental_basic_block(spliced)
 
 
 def _renamed(p, prefix):
-    return Poset([prefix + x for x in p.names],
-                 [(prefix + a, prefix + b) for a, b in p.covers])
+    return from_name_pairs([prefix + x for x in p.names],
+                           [(prefix + a, prefix + b) for a, b in p.covers])
 
 
 def test_renamed_block_reads_from_its_order():
@@ -357,7 +358,8 @@ def test_renamed_block_reads_from_its_order():
 def test_repeated_adjunct_pair_is_not_fundamental():
     # a second element between u1 and u3 realizes the pair (1, 3) twice
     cf3 = build_cf(3).poset
-    p = Poset(list(cf3.names) + ["d"], list(cf3.covers) + [("u1", "d"), ("d", "u3")])
+    p = from_name_pairs(list(cf3.names) + ["d"],
+                        list(cf3.covers) + [("u1", "d"), ("d", "u3")])
     block = oracles.fbb_of(3, {1, 2, 3}, p)
     assert is_lattice(p) and is_rc_lattice(p) and is_basic_block_universal(p)
     assert not is_fundamental_basic_block(block)
@@ -373,7 +375,7 @@ def _with_pendants(below, above, first=False):
     names = extra + list(cf4.names) if first else list(cf4.names) + extra
     covers = (list(cf4.covers) + [(s, "u1") for s in below]
               + [("u4", t) for t in above])
-    return Poset(names, covers)
+    return from_name_pairs(names, covers)
 
 
 @pytest.mark.parametrize("poset,message", [
@@ -396,19 +398,37 @@ def test_reading_names_the_element_that_breaks_it(poset, message):
 
 
 def test_block_is_read_once(monkeypatch):
-    calls = []
-    real = fbb._order_scan
+    # one scan and one reading per poset, whichever route computed them: a
+    # block read first proves its scan from its cover counts, and a block
+    # asked for lattice-ness first is read from the kernel's scan
+    reads, scans = [], []
+    real_read, real_scan = fbb._read_block, _kernel.reducibility
 
-    def counted(p):
-        calls.append(p)
-        return real(p)
+    def counted_read(p, red, doubly):
+        reads.append(p)
+        return real_read(p, red, doubly)
 
-    monkeypatch.setattr(fbb, "_order_scan", counted)
-    block = build_fbb(5, {1, 5, 8, 10})
-    assert phi(block) == LabeledGraph.from_ranks(5, block.ranks)
-    assert extract_adjunct_representation(block).assemble() == block.poset
-    assert is_fundamental_basic_block(block)
-    assert calls == [block.poset]
+    def counted_scan(n, up, *masks):
+        scans.append(up)
+        return real_scan(n, up, *masks)
+
+    monkeypatch.setattr(fbb, "_read_block", counted_read)
+    monkeypatch.setattr(_kernel, "reducibility", counted_scan)
+    for scan_first in (False, True):
+        reads.clear()
+        scans.clear()
+        block = build_fbb(5, {1, 5, 8, 10})
+        p = block.poset
+        if scan_first:
+            assert is_lattice(p)
+        assert phi(block) == LabeledGraph.from_ranks(5, block.ranks)
+        assert extract_adjunct_representation(block).assemble() == p
+        assert is_fundamental_basic_block(block)
+        assert is_lattice(p) and is_rc_lattice(p)
+        assert len(classify(p).reducible) == 5
+        assert reads == [p]
+        # assemble() scans the posets it glues, not p
+        assert sum(up is p._up for up in scans) == scan_first
 
 
 # -- element order and order duality --------------------------------------------
@@ -450,6 +470,104 @@ def test_dismantling_order_matches_the_recount_in_every_element_order():
                 f"{order} n={n} ranks={ranks}"
 
 
+# -- the cover-count reading against the scan-first route ------------------------------
+
+def _read_outcome(read, p):
+    try:
+        return read(p)
+    except ExtractionUnsupportedError as exc:
+        return str(exc)
+
+
+def _scan_and_reading(p):
+    reading = fbb._reading(p)
+    return p._cache["scan"], reading
+
+
+def _assert_reads_as_the_scan_first_route(p, where):
+    """``_reading`` on ``p``, whose cache must be empty, and the scan it
+    leaves cached equal the reference route's scan and reading, or both
+    raise the same message."""
+    assert not p._cache, where
+    assert (_read_outcome(_scan_and_reading, p)
+            == _read_outcome(oracles.reading_by_order_scan, p)), where
+
+
+def test_cover_count_reading_matches_the_scan_first_route_on_blocks():
+    for n, ranks in oracles.valid_rank_sets(5):
+        assembled = build_fbb(n, ranks).poset
+        _assert_reads_as_the_scan_first_route(assembled, f"n={n} ranks={ranks}")
+        for order, reorder in _ORDERS.items():
+            p = reorder(assembled)
+            _assert_reads_as_the_scan_first_route(
+                p, f"{order} n={n} ranks={ranks}")
+
+
+def test_cover_count_reading_matches_the_scan_first_route_on_non_blocks(
+        cf4_expected):
+    cases = {
+        "vee": oracles.poset_of([("0", "a"), ("0", "b")]),
+        "two-minimal": oracles.poset_of([("a", "t"), ("b", "t")]),
+        "antichain": Poset("ab", []),
+        "singleton": Poset("a", []),
+        "chain": Poset.chain("abcd"),
+        "diamond": diamond_poset(),
+        "grid-3x3": grid_poset(3, 3),
+        "pendant-top": _with_pendants([], ["t"]),
+        "pendant-first": _with_pendants(["s"], [], first=True),
+        "repeated-pair": from_name_pairs(
+            list(build_cf(3).poset.names) + ["d"],
+            list(build_cf(3).poset.covers) + [("u1", "d"), ("d", "u3")]),
+    }
+    for label, p in cases.items():
+        _assert_reads_as_the_scan_first_route(p, label)
+    for block in _foreign_blocks(cf4_expected):
+        p = block.poset
+        _assert_reads_as_the_scan_first_route(
+            Poset(p.names, p._index_covers()), repr(block))
+
+
+@st.composite
+def _random_posets(draw):
+    """A poset on 1..8 elements: the covers of a random strict order, in a
+    random element order."""
+    names = [f"e{i}" for i in range(draw(st.integers(1, 8)))]
+    edges = draw(st.sets(st.tuples(st.sampled_from(names),
+                                   st.sampled_from(names))))
+    edges = {(a, b) for a, b in edges if a < b}
+    covers = oracles.covers_of_order(names, oracles.order_pairs(names, edges))
+    return from_name_pairs(draw(st.permutations(names)), covers)
+
+
+@st.composite
+def _near_blocks(draw):
+    """A block on 2..5 reducibles with up to three elements removed, then up
+    to two added, each either strictly between two comparable elements
+    (their cover dropped) or hanging above one, in a random element order:
+    blocks, repeated pairs, non-lattices and chains."""
+    n, ranks = draw(_rank_sets(max_n=5))
+    p = build_fbb(n, ranks).poset
+    drop = draw(st.sets(st.sampled_from(p.names), max_size=min(3, len(p) - 1)))
+    p = p.restrict(x for x in p.names if x not in drop)
+    names, covers = list(p.names), set(p.covers)
+    for k in range(draw(st.integers(0, 2))):
+        a = draw(st.sampled_from(p.names))
+        b = draw(st.sampled_from(p.names))
+        z = f"z{k}"
+        covers.add((a, z))
+        if p.lt(a, b):
+            covers.discard((a, b))
+            covers.add((z, b))
+        names.append(z)
+    return from_name_pairs(draw(st.permutations(names)), covers)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_random_posets(), _near_blocks()))
+def test_cover_count_reading_matches_the_scan_first_route_random(p):
+    _assert_reads_as_the_scan_first_route(p, repr(sorted(p.covers)))
+
+
 # -- assembly and extraction against the name-based reference -------------------------
 
 def _assert_assembled_as(p, names, covers, where):
@@ -479,10 +597,10 @@ def test_assembly_matches_name_based_reference():
 
 
 @st.composite
-def _rank_sets(draw):
-    """A rank set on 2..9 reducibles: random labels, then one pair added
-    for every vertex they leave uncovered."""
-    n = draw(st.integers(2, 9))
+def _rank_sets(draw, max_n=9):
+    """A rank set on 2..max_n reducibles: random labels, then one pair
+    added for every vertex they leave uncovered."""
+    n = draw(st.integers(2, max_n))
     ranks = draw(st.sets(st.integers(1, comb(n, 2))))
     covered = {v for k in ranks for v in unrank(n, k)}
     for v in range(1, n + 1):
@@ -505,7 +623,8 @@ def _extraction_outcome(extract, block):
 
 
 def _foreign_blocks(cf4):
-    spliced = Poset(list(cf4.names) + ["t"], list(cf4.covers) + [("u4", "t")])
+    spliced = from_name_pairs(list(cf4.names) + ["t"],
+                              list(cf4.covers) + [("u4", "t")])
     f = build_fbb(4, {1, 3, 4, 5}).poset
     yield oracles.fbb_of(2, {1}, Poset.chain("abc"))
     yield oracles.fbb_of(2, {1}, oracles.poset_of([("u1", "c1"), ("u1", "x1")]))

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 from fbblat import _kernel
 from fbblat.errors import MalformedPosetError, NotALatticeError
 from fbblat.fbb import build_cf
-from fbblat.poset import (Poset, classify, dismantling_order, is_dismantlable,
-                          is_lattice, is_rc_lattice, nullity, remove_element)
+from fbblat.poset import (Poset, classify, dismantling_order, from_name_pairs,
+                          is_dismantlable, is_lattice, is_rc_lattice, nullity,
+                          remove_element)
 
 import oracles
 from conftest import CF4_COVER_LIST, diamond_poset, grid_poset, strict_order
@@ -22,12 +23,12 @@ from conftest import CF4_COVER_LIST, diamond_poset, grid_poset, strict_order
 
 def test_rejects_cycle():
     with pytest.raises(MalformedPosetError):
-        Poset("abc", [("a", "b"), ("b", "c"), ("c", "a")])
+        from_name_pairs("abc", [("a", "b"), ("b", "c"), ("c", "a")])
 
 
 def test_rejects_transitively_implied_cover():
     with pytest.raises(MalformedPosetError):
-        Poset("abc", [("a", "b"), ("b", "c"), ("a", "c")])
+        from_name_pairs("abc", [("a", "b"), ("b", "c"), ("a", "c")])
 
 
 def test_rejects_duplicate_names():
@@ -37,9 +38,9 @@ def test_rejects_duplicate_names():
 
 def test_rejects_self_cover_and_unknown_endpoint():
     with pytest.raises(MalformedPosetError):
-        Poset("ab", [("a", "a")])
+        from_name_pairs("ab", [("a", "a")])
     with pytest.raises(MalformedPosetError):
-        Poset("ab", [("a", "z")])
+        from_name_pairs("ab", [("a", "z")])
 
 
 def test_rejects_empty():
@@ -47,9 +48,39 @@ def test_rejects_empty():
         Poset([], [])
 
 
+@pytest.mark.parametrize("covers,endpoint", [
+    ([(0, 1), (1, 2)], "2"),
+    ([(-1, 0)], "-1"),
+    ([(0, 1.0)], "1.0"),
+    ([(True, 1)], "True"),
+    ([("a", "b")], "'a'"),
+], ids=["out-of-range", "negative", "float", "bool", "name"])
+def test_rejects_cover_endpoint_that_is_no_element_index(covers, endpoint):
+    with pytest.raises(MalformedPosetError) as err:
+        Poset("ab", covers)
+    assert str(err.value) == (f"cover endpoint {endpoint} is not an element "
+                              "index in 0..1")
+
+
+@pytest.mark.parametrize("names,pairs,message", [
+    ("ab", [("a", "z")], "cover endpoint 'z' is not an element"),
+    ("aba", [], "duplicate element name 'a'"),
+    ("ab", [("a", "b"), ("b", "b")], "self-cover on 'b'"),
+    ("abc", [("a", "b"), ("b", "c"), ("c", "a")],
+     "cover relation contains a cycle"),
+    ("abc", [("a", "b"), ("b", "c"), ("a", "c")],
+     "cover 'a' -> 'c' is implied by transitivity"),
+    ("", [], "a poset needs at least one element"),
+], ids=["unknown", "duplicate", "self-cover", "cycle", "implied", "empty"])
+def test_name_pairs_are_rejected_with_the_name(names, pairs, message):
+    with pytest.raises(MalformedPosetError) as err:
+        from_name_pairs(names, pairs)
+    assert str(err.value) == message
+
+
 def test_constructor_ignores_cover_order_and_repeats():
     p = oracles.poset_of(CF4_COVER_LIST)
-    q = Poset(p.names, CF4_COVER_LIST[::-1] + CF4_COVER_LIST[:3])
+    q = from_name_pairs(p.names, CF4_COVER_LIST[::-1] + CF4_COVER_LIST[:3])
     assert ((q.names, q._index_covers(), q._up, q._down)
             == (p.names, p._index_covers(), p._up, p._down))
 

@@ -30,7 +30,8 @@ from hypothesis import strategies as st
 from fbblat import _kernel
 from fbblat.fbb import build_cf, build_fbb
 from fbblat.labeling import unrank
-from fbblat.poset import Poset, classify, is_lattice, is_rc_lattice, nullity
+from fbblat.poset import (Poset, classify, from_name_pairs, is_lattice,
+                          is_rc_lattice, nullity)
 
 import oracles
 
@@ -46,7 +47,7 @@ def _assert_matches_oracles(label, names, covers):
     pairs = sorted((index[a], index[b]) for a, b in covers)
     up, down = _kernel.closure(n, pairs)
     where = f"{label}: {n} elements, covers {sorted(covers)}"
-    p = Poset(names, covers)
+    p = from_name_pairs(names, covers)
     assert p._index_covers() == tuple(sorted(set(pairs))), where
     for i, x in enumerate(names):  # cover sets, in element index order
         assert oracles.upper_covers(p, x) == tuple(
@@ -200,7 +201,7 @@ def _layered_posets(draw):
 @given(_layered_posets())
 def test_reducibility_on_layered_posets(poset):
     names, covers = poset
-    p = Poset(names, covers)
+    p = from_name_pairs(names, covers)
     lattice, jr, mr = _kernel.reducibility(len(p), p._up, p._down, p._lower,
                                            p._upper)
     where = f"{len(names)} elements, covers {sorted(covers)}"
