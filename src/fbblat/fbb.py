@@ -22,6 +22,31 @@ two or more lower or upper covers form a chain and every other element
 hangs between two of them, and such a poset is a lattice; so a block is
 read, and its lattice scan proved, from its cover counts alone, without
 the lattice kernel.
+
+Two more facts follow from a reading (n, Q, chain, terms).  There R is the
+chain u_1 < ... < u_n of reducibles, and each other element d has exactly
+one lower cover l(d) and one upper cover h(d), both in R (see
+``_reading``).  An element strictly between u_i and u_{i+1} is such a d with
+l(d) = u_i and h(d) = u_{i+1}: x_i, and c_k if k = rank(n, i, i+1) is in Q.
+So the covers are the two of each d and u_i < u_{i+1} for each i without
+x_i; a cover u_i < u_j with j > i + 1 would skip u_{i+1}.
+
+Lemma 1.  The poset is a basic block iff rank(n, i, i+1) is in Q for every
+chain element x_i, where n is the reading's n.  Proof: u_1 is least and has
+two or more upper covers, at most one of them u_2, so the poset has more
+than one element and some d.  So it is basic iff removing each d drops the
+nullity by exactly one.  Removing d deletes one element and its two covers
+and adds the cover l(d) < h(d) iff nothing else lies strictly between them;
+l(d) and h(d) stay joined either way, so the nullity drops by one iff
+something else lies between them.  If l(d) = u_i and h(d) = u_j with
+j > i + 1, u_{i+1} does.  If j = i + 1, d is x_i or c_k, and something else
+lies between iff both are there, that is, iff k is in Q.  So every removal
+drops the nullity by one iff every x_i has its c_k.
+
+Lemma 2.  The nullity of the poset is |Q|.  Proof: every element lies above
+u_1 along covers, so the cover graph is connected.  With m chain elements
+x_i, there are n + m + |Q| elements and 2(m + |Q|) + (n - 1 - m) covers,
+and 2(m + |Q|) + (n - 1 - m) - (n + m + |Q|) + 1 = |Q|.
 """
 
 from collections import namedtuple
@@ -39,7 +64,7 @@ from .graphs import LabeledGraph, _mask_ranks, isolated_vertices
 # ``rank`` is unused here but stays importable as ``fbb.rank``, a binding
 # the benchmark's tracer tests rebind and check.
 from .labeling import _check_int, rank, unrank  # noqa: F401
-from .poset import Poset, _cover_reducibles, _order_scan, is_lattice
+from .poset import Poset, _cover_reducibles, is_lattice
 
 
 class AdjunctTerm(namedtuple("AdjunctTerm", "lower upper chain")):
@@ -212,7 +237,7 @@ def _reading(p):
     element x_i, and two are x_i (the lower index) and c_k.  More is a
     repeated adjunct pair.  Labels k count the pairs in dictionary order.
 
-    Without a cached scan, the poset is first read from its cover counts
+    Without a cached scan, the poset is read from its cover counts
     alone: R is the set of elements with two or more lower or upper covers,
     and the rest are taken as the doubly irreducibles.  A successful read
     proves that the poset is a lattice whose reducibles are R, so the scan
@@ -232,28 +257,26 @@ def _reading(p):
     join-reducible iff it has two or more lower covers (two lower covers
     join to it, and the elements below one with at most one lower cover c
     all lie at or below c), and dually for meets, so jr and mr are the
-    cover-count masks and R is the set of reducibles.  If the cover-count
-    read fails, the poset is read again from ``_order_scan``, which decides
-    lattice-ness, so a poset that is no block raises the message it always
-    did.
+    cover-count masks and R is the set of reducibles.  A cached scan has
+    the same masks on a lattice, since ``_order_scan`` checks them against
+    the cover counts, so one read decides: a failed read raises its own
+    error if ``is_lattice`` holds and "the poset is not a lattice" if not,
+    as a cached scan of a non-lattice does without a read.
     """
     reading = p._cache.get("reading")
     if reading is not None:
         return reading
-    if "scan" not in p._cache:
-        jr, mr = _cover_reducibles(p)
-        doubly = ((1 << len(p)) - 1) & ~(jr | mr)
-        try:
+    scan = p._cache.get("scan") or (True, *_cover_reducibles(p))
+    lattice, jr, mr, doubly = scan
+    try:
+        if lattice:
             reading = _read_block(p, jr | mr, doubly)
-        except ExtractionUnsupportedError:
-            pass
-        else:
-            p._cache["scan"] = (True, jr, mr, doubly)
+    except ExtractionUnsupportedError:
+        if is_lattice(p):
+            raise
     if reading is None:
-        lattice, jr, mr, doubly = _order_scan(p)
-        if not lattice:
-            raise ExtractionUnsupportedError("the poset is not a lattice")
-        reading = _read_block(p, jr | mr, doubly)
+        raise ExtractionUnsupportedError("the poset is not a lattice")
+    p._cache["scan"] = scan
     p._cache["reading"] = reading
     return reading
 

@@ -19,8 +19,11 @@ element names.  Elements carry canonical string names ("u3", "x2", "c5",
 same cover relation on names -- the structural stand-in for isomorphism of
 canonically named objects.
 
-All values are immutable after construction and every operation is a pure
-function, so instances can be shared freely across threads.
+The names and cover masks are fixed at construction, and every operation
+is a pure function of them.  The name index and the ``_cache`` entries
+(scan, reading, nullity, basic-block test) are filled lazily and without a
+lock, but any thread fills an entry with the same value, so instances are
+shared safely across threads.
 """
 
 from collections import namedtuple
@@ -204,9 +207,10 @@ def nullity(p):
 
 
 def _cover_reducibles(p):
-    """(join_reducible, meet_reducible) masks by the cover-count criterion:
-    the elements with two or more lower covers, and with two or more upper
-    covers.  On a lattice these are the reducibles by definition."""
+    """(join_reducible, meet_reducible, doubly_irreducible) masks by the
+    cover-count criterion: the elements with two or more lower covers, with
+    two or more upper covers, and with neither.  On a lattice these are the
+    reducibles and the doubly irreducibles by definition."""
     jr = mr = 0
     bit = 1
     for below, above in zip(p._lower, p._upper):
@@ -215,7 +219,7 @@ def _cover_reducibles(p):
         if above & (above - 1):
             mr |= bit
         bit <<= 1
-    return jr, mr
+    return jr, mr, ((1 << len(p)) - 1) & ~(jr | mr)
 
 
 def _order_scan(p):
@@ -236,12 +240,11 @@ def _order_scan(p):
     if scan is None:
         lattice, jr, mr = _kernel.reducibility(len(p), p._up, p._down,
                                                p._lower, p._upper)
-        jr_covers, mr_covers = _cover_reducibles(p)
+        jr_covers, mr_covers, doubly = _cover_reducibles(p)
         if lattice and (jr_covers != jr or mr_covers != mr):
             raise RuntimeError(
                 "internal error: definitional and cover-count reducibility "
                 f"disagree on {p!r}")
-        doubly = ((1 << len(p)) - 1) & ~(jr_covers | mr_covers)
         scan = p._cache["scan"] = (lattice, jr, mr, doubly)
     return scan
 

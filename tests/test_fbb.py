@@ -568,6 +568,88 @@ def test_cover_count_reading_matches_the_scan_first_route_random(p):
     _assert_reads_as_the_scan_first_route(p, repr(sorted(p.covers)))
 
 
+def _repeated_pair():
+    """CF(3) with a second element d between u1 and u3: a lattice that
+    realizes the pair (1, 3) twice."""
+    cf3 = build_cf(3).poset
+    return from_name_pairs(list(cf3.names) + ["d"],
+                           list(cf3.covers) + [("u1", "d"), ("d", "u3")])
+
+
+@pytest.mark.parametrize("scan_first", [False, True],
+                         ids=["read-first", "scan-first"])
+@pytest.mark.parametrize("make,message,reads_after_scan", [
+    (_repeated_pair, "the adjunct pair ('u1', 'u3') is realized 2 times", 1),
+    (lambda: oracles.poset_of([("0", "a"), ("0", "b")]),
+     "the poset is not a lattice", 0),
+], ids=["repeated-pair", "vee"])
+def test_failed_read_reads_once(monkeypatch, make, message, reads_after_scan,
+                                scan_first):
+    # is_lattice, not a second read, picks the message of a failed read;
+    # a cached scan that says "not a lattice" decides with no read at all
+    reads = []
+    real_read = fbb._read_block
+
+    def counted_read(p, red, doubly):
+        reads.append(p)
+        return real_read(p, red, doubly)
+
+    monkeypatch.setattr(fbb, "_read_block", counted_read)
+    p = make()
+    if scan_first:
+        is_lattice(p)
+    with pytest.raises(ExtractionUnsupportedError) as err:
+        fbb._reading(p)
+    assert str(err.value) == message
+    assert len(reads) == (reads_after_scan if scan_first else 1)
+
+
+# -- the two lemmas of the fbb docstring: basic blocks and nullity -----------------
+
+def _check_lemmas(p, where):
+    """None if ``p`` does not read as a block; else whether it is basic,
+    after asserting Lemma 1 (basic iff each chain element x_i has the
+    label rank(n, i, i+1), with the reading's n) and Lemma 2 (the nullity
+    is the number of read labels) on it."""
+    try:
+        n, mask, chain, _ = fbb._reading(p)
+    except ExtractionUnsupportedError:
+        return None
+    reducible = {p.index_of(name) for name in classify(p).reducible}
+    i, lone_x = 0, False
+    for e in chain:
+        if e in reducible:
+            i += 1
+        elif not mask >> (rank(n, i, i + 1) - 1) & 1:
+            lone_x = True
+    basic = is_basic_block_universal(p)
+    assert basic == (not lone_x), where
+    assert nullity(p) == mask.bit_count(), where
+    return basic
+
+
+def test_reading_decides_basic_blocks_and_nullity():
+    # every block with n <= 5, and each of them less one c or x: those read
+    # with a lone x_i, as blocks on fewer reducibles, or not at all
+    outcomes = []
+    for n, ranks in oracles.valid_rank_sets(5):
+        block = build_fbb(n, ranks).poset
+        outcomes.append(_check_lemmas(block, f"n={n} ranks={ranks}"))
+        for x in block.names:
+            if x[0] in "cx":
+                outcomes.append(_check_lemmas(
+                    block.restrict(set(block.names) - {x}),
+                    f"n={n} ranks={ranks} without {x}"))
+    assert (len(outcomes), outcomes.count(True),
+            outcomes.count(False)) == (7034, 3067, 2928)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_near_blocks())
+def test_reading_decides_basic_blocks_and_nullity_random(p):
+    _check_lemmas(p, repr(sorted(p.covers)))
+
+
 # -- assembly and extraction against the name-based reference -------------------------
 
 def _assert_assembled_as(p, names, covers, where):
