@@ -15,6 +15,21 @@ fbblat() { python -m fbblat "$@"; }
 echo "== tier-1 tests (under -X dev: warnings on, files never closed reported)"
 python -X dev -m pytest -q --continue-on-collection-errors
 
+echo "== tier-1 tests again under each newer interpreter on the host"
+# They import pytest and hypothesis from this python's site-packages through
+# PYTHONPATH, not sys.path, so the child pytest that test_benchmark_harness
+# starts finds them too.  3.10 is left out: it would also need exceptiongroup.
+site=$(python -c 'import sysconfig; print(sysconfig.get_paths()["purelib"])')
+for py in "$HOME"/.pyenv/versions/3.12*/bin/python \
+          "$HOME"/.pyenv/versions/3.13*/bin/python; do
+  if [ ! -x "$py" ]; then
+    echo "skipped: $py not found"
+    continue
+  fi
+  echo "-- $("$py" --version)"
+  PYTHONPATH="src:$site" "$py" -X dev -m pytest -q --continue-on-collection-errors
+done
+
 echo "== benchmark smoke (every op checked exactly, exit 1 on a wrong output)"
 for w in roundtrip wide triangle enumerate; do
   python3 perfbench/run.py --workload "$w" --seed 1 --seconds 1 --trace 0 > /dev/null

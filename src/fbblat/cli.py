@@ -13,6 +13,8 @@ from math import comb
 
 from . import correspondence, counting, fbb, labeling, poset, render
 
+ENUM_CAP = 6  # largest n that verify checks by exhaustive enumeration
+
 
 def _parse_ranks(text, n):
     """Comma-separated labels; an `i-j` token names the pair directly."""
@@ -147,7 +149,7 @@ def _check_equivalence(n, l, enum_cap):
     return report.ok, report.summary().replace("\n", " ")
 
 
-def run_verification(max_n, enum_cap=6):
+def run_verification(max_n, enum_cap=ENUM_CAP):
     """The full invariant suite; returns (all_ok, checks) with one
     (name, ok, detail) triple per check.  Arguments are checked before any
     check runs; after that, a RuntimeError (an internal cross-check) or a
@@ -244,7 +246,7 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run the full invariant suite")
     p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("--enum-cap", type=int, default=6,
+    p.add_argument("--enum-cap", type=int, default=ENUM_CAP,
                    help="largest n verified by exhaustive enumeration")
     add_output(p, render.REPORT_RENDERERS, "text")
     p.set_defaults(handler=_cmd_verify)

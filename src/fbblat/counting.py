@@ -35,9 +35,12 @@ Everything is an exact Python int; tables are filled iteratively row by row
 (no recursion) and grow on demand.  Completed rows are never mutated.  Rows
 of every table, the f and P tables included, are filled under one lock, so
 concurrent callers never compute a row twice or read a half-built table;
-reading rows that are already there takes no lock.  The f and P tables
-grow together, row for row; a fill that finds them of different lengths
-raises instead of pairing a row of f with the wrong P.
+reading rows that are already there takes no lock.  One routine grows
+every table, and it adds a row only when the row is complete, a row of f
+only together with its P row; so a build that fails (a MemoryError, say)
+leaves both tables as they were.  A fill that still finds f and P of
+different lengths, which only a fault can cause, raises instead of pairing
+a row of f with the wrong P.
 
 The triangle that ``emit_triangle``, ``CountTable`` and ``diff_bfile``
 show is read row by row from these tables: one walk fills row n with one
@@ -65,36 +68,40 @@ _p_rows = [[1], [0, 0]]  # P_i = (1+y)^i F_i, one per row of _f_rows
 _fill_lock = threading.Lock()
 
 
-def _fill_d(n):
-    if len(_d_rows) > n:
-        return
-    with _fill_lock:
-        while len(_d_rows) <= n:
-            m = len(_d_rows)
-            big_n = comb(m, 2)
-            prev1 = _d_rows[m - 1]
-            prev2 = _d_rows[m - 2]
-            row = [0] * (big_n + 1)
-            for q in range(1, big_n + 1):
-                acc = (big_n - q + 1) * row[q - 1]
-                if q - 1 < len(prev1):
-                    acc += m * (m - 1) * prev1[q - 1]
-                if q - 1 < len(prev2):
-                    acc += big_n * prev2[q - 1]
-                row[q], rem = divmod(acc, q)
-                if rem:
-                    raise RuntimeError(
-                        f"internal error: d({m},{q}) recurrence value {acc} is "
-                        f"not divisible by {q}")
-            _d_rows.append(row)
+def _row(rows, build, n):
+    """Row n of ``rows``, appending each missing row m <= n that
+    ``build(m)`` returns, under the fill lock."""
+    if len(rows) <= n:
+        with _fill_lock:
+            while len(rows) <= n:
+                rows.append(build(len(rows)))
+    return rows[n]
+
+
+def _d_row(m):
+    big_n = comb(m, 2)
+    prev1 = _d_rows[m - 1]
+    prev2 = _d_rows[m - 2]
+    row = [0] * (big_n + 1)
+    for q in range(1, big_n + 1):
+        acc = (big_n - q + 1) * row[q - 1]
+        if q - 1 < len(prev1):
+            acc += m * (m - 1) * prev1[q - 1]
+        if q - 1 < len(prev2):
+            acc += big_n * prev2[q - 1]
+        row[q], rem = divmod(acc, q)
+        if rem:
+            raise RuntimeError(
+                f"internal error: d({m},{q}) recurrence value {acc} is "
+                f"not divisible by {q}")
+    return row
 
 
 def count_d(n, q):
     """Number of labeled graphs on n unisolated vertices with q edges."""
     _check_int("n", n, 0)
     _check_int("q", q, 0)
-    _fill_d(n)
-    row = _d_rows[n]
+    row = _row(_d_rows, _d_row, n)
     return row[q] if q < len(row) else 0
 
 
@@ -113,25 +120,21 @@ def _times_one_plus_y(poly, times):
     return poly
 
 
-def _fill_f(n):
-    if len(_f_rows) > n:
-        return
-    with _fill_lock:
-        if len(_p_rows) != len(_f_rows):
-            raise RuntimeError(
-                f"internal error: {len(_f_rows)} rows of f but {len(_p_rows)} "
-                f"rows of (1+y)^i f")
-        while len(_f_rows) <= n:
-            m = len(_f_rows) - 1  # recurrence steps from row m to row m+1
-            row = [0] * (comb(m + 1, 2) + 1)
-            for i, p in enumerate(_p_rows):
-                c = comb(m, i)  # term C(m,i) y^(m-i) P_i
-                for t, v in enumerate(p, m - i):
-                    row[t] += c * v
-            for l, v in enumerate(_f_rows[m]):
-                row[l] -= v
-            _f_rows.append(row)
-            _p_rows.append(_times_one_plus_y(row, m + 1))
+def _f_row(m):
+    if len(_p_rows) != m:
+        raise RuntimeError(
+            f"internal error: {len(_f_rows)} rows of f but {len(_p_rows)} "
+            f"rows of (1+y)^i f")
+    s = m - 1  # the recurrence steps from row s to row m
+    row = [0] * (comb(m, 2) + 1)
+    for i, p in enumerate(_p_rows):
+        c = comb(s, i)  # term C(s,i) y^(s-i) P_i
+        for t, v in enumerate(p, s - i):
+            row[t] += c * v
+    for l, v in enumerate(_f_rows[s]):
+        row[l] -= v
+    _p_rows.append(_times_one_plus_y(row, m))
+    return row
 
 
 def count_f(n, l):
@@ -139,8 +142,7 @@ def count_f(n, l):
     nullity l."""
     _check_int("n", n, 0)
     _check_int("l", l, 0)
-    _fill_f(n)
-    row = _f_rows[n]
+    row = _row(_f_rows, _f_row, n)
     return row[l] if l < len(row) else 0
 
 
@@ -268,12 +270,8 @@ def diff_bfile(path, kind):
             text = line.strip()
             if not text or text.startswith("#"):
                 continue
-            parts = text.split()
-            if len(parts) != 2:
-                raise ValueError(
-                    f"{path}:{line_no}: expected 'index value', got {text!r}")
             try:
-                index, value = int(parts[0]), int(parts[1])
+                index, value = map(int, text.split())
             except ValueError:
                 raise ValueError(
                     f"{path}:{line_no}: expected 'index value', got {text!r}") from None

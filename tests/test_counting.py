@@ -263,6 +263,16 @@ def test_diff_bfile_malformed_line(tmp_path):
         diff_bfile(path, "d")
 
 
+@pytest.mark.parametrize("line", ["2", "2 3 4", "2 one"],
+                         ids=["one-token", "three-tokens", "not-an-integer"])
+def test_diff_bfile_names_the_malformed_line(tmp_path, line):
+    path = tmp_path / "b.txt"
+    path.write_text(f"1 1\n{line}\n")
+    with pytest.raises(ValueError) as info:
+        diff_bfile(path, "d")
+    assert str(info.value) == f"{path}:2: expected 'index value', got {line!r}"
+
+
 def test_diff_bfile_skips_comments_and_counts_lines(tmp_path):
     path = tmp_path / "b.txt"
     path.write_text("# header\n1 1\n# middle\n2 1\n3 999\n")
@@ -356,3 +366,28 @@ def test_fill_refuses_out_of_step_tables(monkeypatch):
     with pytest.raises(RuntimeError, match="rows of f"):
         count_f(6, 5)
     assert counting._f_rows == [[1], [0]]
+
+
+def test_failed_p_build_leaves_the_tables_in_step(monkeypatch):
+    # a MemoryError while (1+y)^i f is built must add row m to neither
+    # table, so the next fill builds it again instead of reporting tables
+    # out of step
+    for name in ("_d_rows", "_f_rows", "_p_rows"):
+        monkeypatch.setattr(counting, name, getattr(counting, name)[:2])
+    count_f(5, 0)
+    real = counting._times_one_plus_y
+    failed = []
+
+    def fail_once(poly, times):
+        if not failed:
+            failed.append(times)
+            raise MemoryError
+        return real(poly, times)
+
+    monkeypatch.setattr(counting, "_times_one_plus_y", fail_once)
+    with pytest.raises(MemoryError):
+        count_f(7, 0)
+    assert failed == [6]
+    assert len(counting._f_rows) == len(counting._p_rows) == 6
+    assert ([count_f(7, l) for l in range(comb(7, 2) + 1)]
+            == [count_d(7, l) for l in range(comb(7, 2) + 1)])
